@@ -134,7 +134,9 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization (what `Display` prints) to `out`,
+    /// so a caller can frame a document without a second copy.
+    pub fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -146,7 +148,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write_compact(out);
                 }
                 out.push(']');
             }
@@ -158,7 +160,7 @@ impl Json {
                     }
                     write_string(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_compact(out);
                 }
                 out.push('}');
             }
@@ -195,7 +197,7 @@ impl Json {
                 push_indent(out, indent);
                 out.push('}');
             }
-            other => other.write(out),
+            other => other.write_compact(out),
         }
     }
 
@@ -224,7 +226,7 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_compact(&mut out);
         f.write_str(&out)
     }
 }
@@ -272,17 +274,26 @@ fn write_number(n: f64, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    // Copy each run of bytes that need no escaping in one step. Every
+    // escaped character is ASCII, so a run boundary is always a char
+    // boundary; a multi-megabyte base64 blob is a single run.
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => out.push_str(&format!("\\u{c:04x}")),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -609,6 +620,14 @@ mod tests {
         let doc = Json::Str("a\"b\\c\nd\te\u{1}π".to_string());
         let text = doc.to_string();
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn escapes_split_runs_at_the_right_bytes() {
+        let doc = Json::str("ab\"c\u{1}dπ\\");
+        assert_eq!(doc.to_string(), r#""ab\"c\u0001dπ\\""#);
+        assert_eq!(Json::str("plain run").to_string(), "\"plain run\"");
+        assert_eq!(Json::str("").to_string(), "\"\"");
     }
 
     #[test]

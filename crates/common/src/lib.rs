@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod base64;
 pub mod cancel;
 pub mod error;
 pub mod faults;

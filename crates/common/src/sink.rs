@@ -221,9 +221,17 @@ impl OutputSink for MaterializeSink {
 /// localizes a divergence to the specific key that lost or gained results,
 /// and the cluster coordinator merges per-shard key counts to verify a
 /// sharded join against single-node ground truth.
+///
+/// Chain walks and the skew paths emit a key's matches back to back, so
+/// the sink counts the current run of one key in a cache and touches the
+/// map only when the key changes — about once per probe tuple instead of
+/// once per result. Every read folds the pending run in.
 #[derive(Debug, Default, Clone)]
 pub struct KeyCountSink {
     counts: BTreeMap<Key, u64>,
+    /// The key of the current run and its results not yet in `counts`
+    /// (a zero count means no run is open).
+    run: (Key, u64),
     total: u64,
     checksum: u64,
 }
@@ -235,18 +243,56 @@ impl KeyCountSink {
     }
 
     /// Per-key result counts, ordered by key.
-    pub fn counts(&self) -> &BTreeMap<Key, u64> {
-        &self.counts
+    pub fn counts(&self) -> BTreeMap<Key, u64> {
+        let mut counts = BTreeMap::new();
+        self.fold_into(&mut counts);
+        counts
+    }
+
+    /// Adds this sink's per-key counts into `into`.
+    fn fold_into(&self, into: &mut BTreeMap<Key, u64>) {
+        for (&key, &count) in &self.counts {
+            *into.entry(key).or_insert(0) += count;
+        }
+        let (key, pending) = self.run;
+        if pending > 0 {
+            *into.entry(key).or_insert(0) += pending;
+        }
+    }
+
+    #[inline]
+    fn count_run(&mut self, key: Key, n: u64) {
+        let (run_key, pending) = self.run;
+        if run_key == key {
+            self.run.1 += n;
+        } else {
+            if pending > 0 {
+                *self.counts.entry(run_key).or_insert(0) += pending;
+            }
+            self.run = (key, n);
+        }
     }
 }
 
 impl OutputSink for KeyCountSink {
+    #[inline]
     fn emit(&mut self, key: Key, r_payload: Payload, s_payload: Payload) {
-        *self.counts.entry(key).or_insert(0) += 1;
+        self.count_run(key, 1);
         self.total += 1;
         self.checksum = self
             .checksum
             .wrapping_add(tuple_mix(key, r_payload, s_payload));
+    }
+
+    #[inline]
+    fn emit_r_run(&mut self, key: Key, r_tuples: &[Tuple], s_payload: Payload) {
+        self.count_run(key, r_tuples.len() as u64);
+        self.total += r_tuples.len() as u64;
+        for r in r_tuples {
+            self.checksum = self
+                .checksum
+                .wrapping_add(tuple_mix(key, r.payload, s_payload));
+        }
     }
 
     fn count(&self) -> u64 {
@@ -262,9 +308,7 @@ impl OutputSink for KeyCountSink {
 pub fn merge_key_counts(sinks: &[KeyCountSink]) -> BTreeMap<Key, u64> {
     let mut merged = BTreeMap::new();
     for sink in sinks {
-        for (&key, &count) in sink.counts() {
-            *merged.entry(key).or_insert(0) += count;
-        }
+        sink.fold_into(&mut merged);
     }
     merged
 }
@@ -344,6 +388,67 @@ impl SinkFactory for VolcanoSinkFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_count_runs_match_a_per_result_map() {
+        // Interleaved keys, back-to-back runs, bulk runs and key 0 (the
+        // cache's initial key), split over three sinks one of which stays
+        // empty; every read must equal a map touched once per result.
+        let emits: &[(usize, Key, u64)] = &[
+            (0, 0, 1),
+            (0, 5, 3),
+            (0, 0, 2),
+            (2, 5, 1),
+            (0, 5, 1),
+            (2, 9, 4),
+            (2, 9, 1),
+            (0, 2, 1),
+        ];
+        let mut sinks = vec![
+            KeyCountSink::new(),
+            KeyCountSink::new(),
+            KeyCountSink::new(),
+        ];
+        let mut expected: BTreeMap<Key, u64> = BTreeMap::new();
+        let mut reference = CountingSink::new();
+        for &(slot, key, n) in emits {
+            let sink = &mut sinks[slot];
+            if n > 2 {
+                let run: Vec<Tuple> = (0..n as u32).map(|p| Tuple::new(key, p)).collect();
+                sink.emit_r_run(key, &run, 7);
+                for t in &run {
+                    reference.emit(key, t.payload, 7);
+                }
+            } else {
+                for p in 0..n as u32 {
+                    sink.emit(key, p, 7);
+                    reference.emit(key, p, 7);
+                }
+            }
+            *expected.entry(key).or_insert(0) += n;
+        }
+        assert!(sinks[1].counts().is_empty());
+        assert_eq!(merge_key_counts(&sinks[1..2]), BTreeMap::new());
+        let merged = merge_key_counts(&sinks);
+        assert_eq!(merged, expected);
+        let mut by_sink = sinks[0].counts();
+        for (k, c) in sinks[2].counts() {
+            *by_sink.entry(k).or_insert(0) += c;
+        }
+        assert_eq!(by_sink, expected);
+        // A read folds without consuming: reading twice and emitting after
+        // a read stay consistent.
+        assert_eq!(sinks[0].counts(), sinks[0].counts());
+        sinks[0].emit(9, 0, 0);
+        *expected.entry(9).or_insert(0) += 1;
+        reference.emit(9, 0, 0);
+        assert_eq!(merge_key_counts(&sinks), expected);
+        let total: u64 = sinks.iter().map(OutputSink::count).sum();
+        let checksum = sinks
+            .iter()
+            .fold(0u64, |acc, s| acc.wrapping_add(s.checksum()));
+        assert_eq!((total, checksum), (reference.count(), reference.checksum()));
+    }
 
     #[test]
     fn counting_sink_counts_and_checksums() {

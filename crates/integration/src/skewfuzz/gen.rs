@@ -10,7 +10,7 @@
 
 use skewjoin::datagen::{Rng, ZipfWorkload};
 use skewjoin::Algorithm;
-use skewjoin_service::{AlgoChoice, JoinRequest};
+use skewjoin_service::{protocol, AlgoChoice, JoinRequest};
 
 use super::{FrameCase, FuzzConfig, JoinCase, Oracle};
 
@@ -368,9 +368,8 @@ pub fn gen_join_case(rng: &mut Rng, seed: u64, index: usize, max_size: usize) ->
 }
 
 fn frame_of(json: &skewjoin::common::json::Json) -> Vec<u8> {
-    let body = json.to_string_pretty().into_bytes();
-    let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
-    bytes.extend_from_slice(&body);
+    let mut bytes = Vec::new();
+    protocol::write_frame(&mut bytes, json).expect("generated frames are far below the cap");
     bytes
 }
 
@@ -438,9 +437,21 @@ pub fn gen_frame_case(rng: &mut Rng, seed: u64, index: usize) -> FrameCase {
             ("shape", bytes)
         }
         4 => {
-            // Byte-flipped mutation of a valid frame.
-            let req =
-                JoinRequest::generate("skewfuzz", AlgoChoice::parse("csh").unwrap(), 64, 0.5, 7);
+            // Byte-flipped mutation of a valid frame: alternately an
+            // inline request, whose flips mostly land in the base64
+            // relation blocks, and a generate request. Frame cases sit at
+            // every fourth index (all odd), so the choice alternates on
+            // `index / 4`. It draws nothing from the rng, so existing
+            // repros name the same cases.
+            let algo = AlgoChoice::parse("csh").unwrap();
+            let req = if (index / 4) % 2 == 1 {
+                use skewjoin::common::Relation;
+                use std::sync::Arc;
+                let side = Arc::new(Relation::from_keys(&BOUNDARY_KEYS));
+                JoinRequest::inline("skewfuzz", algo, Arc::clone(&side), side)
+            } else {
+                JoinRequest::generate("skewfuzz", algo, 64, 0.5, 7)
+            };
             let mut bytes = frame_of(&req.to_json());
             for _ in 0..(1 + rng.below(8)) {
                 let i = rng.below(bytes.len());

@@ -1,5 +1,17 @@
-//! Length-prefixed TCP protocol: each frame is a `u32` big-endian byte
-//! length followed by that many bytes of UTF-8 JSON.
+//! Length-prefixed TCP protocol (version 2): each frame is a `u32`
+//! big-endian byte length followed by that many bytes of compact UTF-8
+//! JSON, sent in one write on a socket with `TCP_NODELAY` set.
+//!
+//! Bulk data does not travel as JSON trees. An inline relation is one
+//! string member holding the base64 text of its binary `SKJR` block (the
+//! `datagen::io` format: 16-byte header, then 8-byte little-endian
+//! tuples), and a reply's per-key counts are one base64 string of 12-byte
+//! records (little-endian `u32` key, `u64` count). A tuple costs ≈ 10.7
+//! bytes on the wire, so a request under the 64 MiB cap carries ≈ 6.3 M
+//! tuples across both relations. A malformed blob — a byte outside the
+//! alphabet, bad padding, a truncated block, a tuple count that disagrees
+//! with the length, a wrong magic — or the version-1 `[[key, payload], …]`
+//! array form gets a typed protocol error.
 //!
 //! Ops (the `"op"` member of a request frame):
 //!
@@ -52,7 +64,7 @@ pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// Version of the frame protocol this build speaks. Carried in the
 /// `ping` hello exchange; a mismatch is a typed
 /// [`ClientError::VersionMismatch`], not a frame-parse failure.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Connection attempts a [`Client`] makes per op before reporting
 /// [`ClientError::ConnectionLost`].
@@ -62,10 +74,15 @@ pub const DEFAULT_CLIENT_ATTEMPTS: u32 = 4;
 pub const DEFAULT_CLIENT_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Writes one length-prefixed JSON frame.
+///
+/// The document is written compactly straight after a placeholder prefix,
+/// and prefix and body leave in one `write_all`: two writes on a socket
+/// with Nagle's algorithm on stall the body behind the peer's delayed ACK.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
-    let body = json.to_string_pretty();
-    let bytes = body.as_bytes();
-    let len = u32::try_from(bytes.len())
+    let mut frame = String::from("\0\0\0\0");
+    json.write_compact(&mut frame);
+    let mut frame = frame.into_bytes();
+    let len = u32::try_from(frame.len() - 4)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -73,8 +90,8 @@ pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -212,6 +229,8 @@ pub fn serve_shard(
 }
 
 fn handle_connection(service: &JoinService, mut stream: TcpStream, shard: Option<u32>) {
+    // Replies are single writes; nothing is gained by Nagle's coalescing.
+    let _ = stream.set_nodelay(true);
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
@@ -436,7 +455,8 @@ impl Client {
 
     /// Raises [`ClientError::VersionMismatch`] if the reply names a
     /// protocol version other than ours. Replies without a version (a
-    /// pre-versioning server) pass — the frames are compatible either way.
+    /// pre-versioning server) pass; such a server reads relations as
+    /// arrays, so its first inline join fails with a typed protocol error.
     fn check_version(&self, reply: &Json) -> Result<(), ClientError> {
         if let Some(server) = reply.get("protocol_version").and_then(Json::as_u64) {
             let server = server as u32;
@@ -478,7 +498,9 @@ impl Client {
 
     fn try_once(&mut self, frame: &Json) -> io::Result<Json> {
         if self.stream.is_none() {
-            self.stream = Some(TcpStream::connect(self.addr)?);
+            let stream = TcpStream::connect(self.addr)?;
+            stream.set_nodelay(true)?;
+            self.stream = Some(stream);
         }
         let stream = self.stream.as_mut().expect("stream just ensured");
         write_frame(stream, frame)?;

@@ -2,17 +2,23 @@
 //! wire protocol uses.
 //!
 //! A [`JoinRequest`] either carries its relations inline (in-process
-//! clients hand over `Arc`s; remote clients ship key/payload arrays) or
-//! asks the service to generate a paper workload on the worker — the cheap
-//! way to drive load tests over TCP without streaming megabytes of tuples.
+//! clients hand over `Arc`s; remote clients ship each relation as one
+//! base64 string holding its binary `SKJR` block) or asks the service to
+//! generate a paper workload on the worker — the cheap way to drive load
+//! tests over TCP without streaming megabytes of tuples. Per-key result
+//! counts travel back the same way, as one base64 block of 12-byte records.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use skewjoin::common::base64;
 use skewjoin::common::json::Json;
-use skewjoin::common::{Key, Relation, Trace, Tuple};
+use skewjoin::common::{Key, Relation, Trace};
 use skewjoin::planner::TargetDevice;
 use skewjoin::{Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig, ShardPartition};
+use skewjoin_datagen::io;
+
+use crate::protocol::PROTOCOL_VERSION;
 
 /// Service-assigned request identifier, unique within one service instance.
 pub type RequestId = u64;
@@ -106,7 +112,7 @@ impl AlgoChoice {
 #[derive(Debug, Clone)]
 pub enum RequestPayload {
     /// Caller-provided relations. In-process submissions share them by
-    /// `Arc`; over the wire they are shipped as key/payload arrays.
+    /// `Arc`; over the wire each is a base64 `SKJR` block.
     Inline {
         /// Build side.
         r: Arc<Relation>,
@@ -294,13 +300,17 @@ impl JoinRequest {
                 seed: generate.get("seed").and_then(Json::as_u64).unwrap_or(42),
             }
         } else if let Some(inline) = payload.get("inline") {
+            let side = |name: &str| -> Result<Arc<Relation>, String> {
+                let blob = inline
+                    .get(name)
+                    .ok_or_else(|| format!("inline payload needs \"{name}\""))?;
+                relation_from_json(blob)
+                    .map(Arc::new)
+                    .map_err(|e| format!("relation {name}: {e}"))
+            };
             RequestPayload::Inline {
-                r: Arc::new(relation_from_json(
-                    inline.get("r").ok_or("inline payload needs \"r\"")?,
-                )?),
-                s: Arc::new(relation_from_json(
-                    inline.get("s").ok_or("inline payload needs \"s\"")?,
-                )?),
+                r: side("r")?,
+                s: side("s")?,
             }
         } else {
             return Err("payload must be \"generate\" or \"inline\"".into());
@@ -347,37 +357,67 @@ impl JoinRequest {
     }
 }
 
+/// A relation on the wire: the base64 text of its `SKJR` block
+/// (`datagen::io` format — header, then 8-byte little-endian tuples).
 fn relation_to_json(rel: &Relation) -> Json {
-    Json::Arr(
-        rel.iter()
-            .map(|t| {
-                Json::Arr(vec![
-                    Json::from_u64(u64::from(t.key)),
-                    Json::from_u64(u64::from(t.payload)),
-                ])
-            })
-            .collect(),
-    )
+    Json::Str(base64::encode(&io::to_bytes(rel)))
 }
 
 fn relation_from_json(json: &Json) -> Result<Relation, String> {
-    let rows = json.as_array().ok_or("relation must be an array")?;
-    let mut rel = Relation::with_capacity(rows.len());
-    for row in rows {
-        let pair = row
-            .as_array()
-            .ok_or("tuple must be a [key, payload] pair")?;
-        if pair.len() != 2 {
-            return Err("tuple must be a [key, payload] pair".into());
-        }
-        let key = pair[0].as_u64().ok_or("tuple key must be an integer")?;
-        let payload = pair[1].as_u64().ok_or("tuple payload must be an integer")?;
-        rel.push(Tuple::new(
-            u32::try_from(key).map_err(|_| "tuple key exceeds u32")?,
-            u32::try_from(payload).map_err(|_| "tuple payload exceeds u32")?,
+    let text = blob_text(json, "a base64 SKJR relation block")?;
+    let bytes = base64::decode(text)?;
+    io::from_bytes(&bytes).map_err(|e| format!("relation block: {e}"))
+}
+
+/// Bytes per wire `key_counts` record: a little-endian `u32` key, then its
+/// `u64` result count.
+const KEY_COUNT_RECORD: usize = 12;
+
+/// Per-key counts on the wire: the base64 text of 12-byte records in
+/// ascending key order.
+fn key_counts_to_json(counts: &[(Key, u64)]) -> Json {
+    let mut bytes = Vec::with_capacity(counts.len() * KEY_COUNT_RECORD);
+    for &(key, count) in counts {
+        bytes.extend_from_slice(&key.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+    }
+    Json::Str(base64::encode(&bytes))
+}
+
+fn key_counts_from_json(json: &Json) -> Result<Vec<(Key, u64)>, String> {
+    let bytes = base64::decode(blob_text(json, "a base64 key-count block")?)?;
+    if bytes.len() % KEY_COUNT_RECORD != 0 {
+        return Err(format!(
+            "key-count block of {} bytes is not a whole number of {KEY_COUNT_RECORD}-byte records",
+            bytes.len()
         ));
     }
-    Ok(rel)
+    let mut counts: Vec<(Key, u64)> = Vec::with_capacity(bytes.len() / KEY_COUNT_RECORD);
+    for record in bytes.chunks_exact(KEY_COUNT_RECORD) {
+        let (key, count) = record.split_at(4);
+        let key = Key::from_le_bytes(key.try_into().expect("4-byte key field"));
+        let count = u64::from_le_bytes(count.try_into().expect("8-byte count field"));
+        if counts.last().is_some_and(|&(prev, _)| prev >= key) {
+            return Err(format!(
+                "key-count block is not in ascending key order at key {key}"
+            ));
+        }
+        counts.push((key, count));
+    }
+    Ok(counts)
+}
+
+/// The text of a blob member. The v1 form — a JSON array of rows — is
+/// named in the error, so an old client learns why it was refused.
+fn blob_text<'a>(json: &'a Json, what: &str) -> Result<&'a str, String> {
+    match json {
+        Json::Str(text) => Ok(text),
+        Json::Arr(_) => Err(format!(
+            "expected {what} (protocol v{PROTOCOL_VERSION}), found a JSON array: \
+             the v1 array form is no longer accepted"
+        )),
+        _ => Err(format!("expected {what}")),
+    }
 }
 
 /// What a completed join reports back — the stats trimmed to what a serving
@@ -480,20 +520,7 @@ impl JoinResponse {
                     ("plan_cache_hit", Json::Bool(s.plan_cache_hit)),
                 ];
                 if let Some(counts) = &s.key_counts {
-                    summary.push((
-                        "key_counts",
-                        Json::Arr(
-                            counts
-                                .iter()
-                                .map(|&(key, count)| {
-                                    Json::Arr(vec![
-                                        Json::from_u64(u64::from(key)),
-                                        Json::from_u64(count),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
+                    summary.push(("key_counts", key_counts_to_json(counts)));
                 }
                 if let Some(trace) = &s.trace {
                     summary.push(("trace", trace.to_json()));
@@ -561,26 +588,11 @@ impl JoinResponse {
                         .get("plan_cache_hit")
                         .and_then(Json::as_bool)
                         .unwrap_or(false),
-                    key_counts: match s.get("key_counts").and_then(Json::as_array) {
-                        None => None,
-                        Some(rows) => {
-                            let mut counts = Vec::with_capacity(rows.len());
-                            for row in rows {
-                                let pair = row
-                                    .as_array()
-                                    .filter(|p| p.len() == 2)
-                                    .ok_or("key_counts entries must be [key, count] pairs")?;
-                                let key = pair[0]
-                                    .as_u64()
-                                    .and_then(|k| Key::try_from(k).ok())
-                                    .ok_or("key_counts key must fit u32")?;
-                                let count =
-                                    pair[1].as_u64().ok_or("key_counts count must be a u64")?;
-                                counts.push((key, count));
-                            }
-                            Some(counts)
-                        }
-                    },
+                    key_counts: s
+                        .get("key_counts")
+                        .map(key_counts_from_json)
+                        .transpose()
+                        .map_err(|e| format!("summary key_counts: {e}"))?,
                     trace: match s.get("trace") {
                         None => None,
                         Some(t) => {
@@ -665,16 +677,89 @@ mod tests {
 
     #[test]
     fn inline_request_round_trips() {
-        let r = Arc::new(Relation::from_keys(&[1, 2, 3]));
-        let s = Arc::new(Relation::from_keys(&[2, 3, 3]));
-        let req = JoinRequest::inline("c", AlgoChoice::parse("cbase").unwrap(), r.clone(), s);
-        let back = JoinRequest::from_json(&req.to_json(), "c").unwrap();
-        match back.payload {
-            RequestPayload::Inline { r: br, s: bs } => {
-                assert_eq!(br.tuples(), r.tuples());
-                assert_eq!(bs.len(), 3);
+        use skewjoin::common::Tuple;
+        let edge = [
+            Tuple::new(u32::MAX, u32::MAX),
+            Tuple::new(0, u32::MAX),
+            Tuple::new(u32::MAX, 0),
+        ];
+        // 0–3 tuples: blocks of 16, 24, 32 and 40 bytes hit every base64
+        // remainder (1, 0, 2 bytes past a whole quantum).
+        let mut pairs: Vec<(Relation, Relation)> = (0..=edge.len())
+            .map(|n| {
+                let r = Relation::from_tuples(edge[..n].to_vec());
+                (r, Relation::from_tuples(edge[edge.len() - n..].to_vec()))
+            })
+            .collect();
+        let many = (0..1000).map(|i| Tuple::new(i * 7919, !i)).collect();
+        pairs.push((Relation::from_tuples(many), Relation::from_keys(&[2, 3, 3])));
+        for (r, s) in pairs {
+            let req = JoinRequest::inline(
+                "c",
+                AlgoChoice::parse("cbase").unwrap(),
+                Arc::new(r.clone()),
+                Arc::new(s.clone()),
+            );
+            let wire = Json::parse(&req.to_json().to_string()).unwrap();
+            match JoinRequest::from_json(&wire, "c").unwrap().payload {
+                RequestPayload::Inline { r: br, s: bs } => {
+                    assert_eq!(br.tuples(), r.tuples());
+                    assert_eq!(bs.tuples(), s.tuples());
+                }
+                other => panic!("expected inline payload, got {other:?}"),
             }
-            other => panic!("expected inline payload, got {other:?}"),
+        }
+    }
+
+    fn completed_with_counts(key_counts: Option<Vec<(Key, u64)>>) -> JoinResponse {
+        JoinResponse {
+            id: 1,
+            outcome: Outcome::Completed(JoinSummary {
+                algorithm: "CSH".into(),
+                result_count: 0,
+                checksum: 0,
+                exec_nanos: 0,
+                queue_nanos: 0,
+                degradations: vec![],
+                plan_cache_hit: false,
+                key_counts,
+                trace: None,
+            }),
+        }
+    }
+
+    /// A completed response whose `key_counts` member is `blob`.
+    fn response_with_key_counts(blob: Json) -> Json {
+        let summary = Json::obj(vec![
+            ("algorithm", Json::str("CSH")),
+            ("result_count", Json::from_u64(0)),
+            ("checksum", Json::str("0x0")),
+            ("key_counts", blob),
+        ]);
+        Json::obj(vec![
+            ("id", Json::from_u64(1)),
+            ("outcome", Json::str("completed")),
+            ("summary", summary),
+        ])
+    }
+
+    #[test]
+    fn malformed_key_count_blocks_are_errors() {
+        let record = |key: u32, count: u64| {
+            let mut b = key.to_le_bytes().to_vec();
+            b.extend_from_slice(&count.to_le_bytes());
+            b
+        };
+        let unsorted = [record(5, 1), record(2, 1)].concat();
+        for (blob, needle) in [
+            (Json::str(base64::encode(&[0u8; 13])), "12-byte records"),
+            (Json::str(base64::encode(&unsorted)), "ascending"),
+            (Json::str("AAAA*AAA"), "alphabet"),
+            (Json::Arr(vec![]), "v1 array form"),
+            (Json::from_u64(3), "key-count block"),
+        ] {
+            let err = JoinResponse::from_json(&response_with_key_counts(blob)).unwrap_err();
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         }
     }
 
@@ -734,7 +819,17 @@ mod tests {
                 },
             },
         ];
-        for resp in cases {
+        // Key-count blocks of 0, 1, 2 and many records, at the u32/u64
+        // limits.
+        let many: Vec<(Key, u64)> = (0..500).map(|k| (k * 3 + 1, u64::from(k) << 33)).collect();
+        let counted = [
+            vec![],
+            vec![(u32::MAX, u64::MAX)],
+            vec![(0, 1), (u32::MAX, 2)],
+            many,
+        ]
+        .map(|counts| completed_with_counts(Some(counts)));
+        for resp in cases.into_iter().chain(counted) {
             let text = resp.to_json().to_string_pretty();
             let back = JoinResponse::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, resp);

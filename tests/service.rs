@@ -7,15 +7,21 @@
 //! serialize behind one mutex (same discipline as `fault_recovery.rs`).
 
 use std::process::Command;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+use skewjoin::common::json::Json;
+use skewjoin::common::sink::{CountingSink, OutputSink};
+use skewjoin::common::{base64, Relation, Tuple};
+use skewjoin::cpu::reference_join;
+use skewjoin::datagen::io;
 use skewjoin::planner::TargetDevice;
 use skewjoin::{Algorithm, CpuAlgorithm};
 use skewjoin_integration::chaos::CellOutcome;
 use skewjoin_integration::service_chaos::{run_service_cell, SERVICE_FAILPOINT_SITES};
 use skewjoin_service::{
-    protocol, AlgoChoice, JoinRequest, JoinService, Outcome, Priority, ServiceConfig, Ticket,
+    protocol, AlgoChoice, JoinRequest, JoinResponse, JoinService, Outcome, Priority, ServiceConfig,
+    Ticket,
 };
 
 /// Serializes fault-armed tests: armed failpoints are visible process-wide.
@@ -264,6 +270,118 @@ fn frame_of_exactly_max_bytes_is_served() {
         other => panic!("boundary-sized request should complete, got {other:?}"),
     }
     drop(stream);
+    server.stop();
+    svc.shutdown();
+}
+
+/// An inline join document whose `r` member is `r` and whose `s` member
+/// is a valid one-tuple block.
+fn inline_join_with_r(r: Json) -> Json {
+    let s = Json::str(base64::encode(&io::to_bytes(&Relation::from_keys(&[1]))));
+    Json::obj(vec![
+        ("op", Json::str("join")),
+        ("algo", Json::str("cbase")),
+        (
+            "payload",
+            Json::obj(vec![("inline", Json::obj(vec![("r", r), ("s", s)]))]),
+        ),
+    ])
+}
+
+/// Every malformed relation blob — and the protocol-v1 array form — gets a
+/// typed protocol-error reply naming the fault, on a connection that stays
+/// open: a valid join on the same stream completes afterwards.
+#[test]
+fn malformed_relation_blobs_get_typed_protocol_errors() {
+    let block = io::to_bytes(&Relation::from_keys(&[1, 2, 3]));
+    let text = base64::encode(&block);
+    let with = |at: usize, c: &str| format!("{}{c}{}", &text[..at], &text[at + 1..]);
+    let mut bad_count = block.clone();
+    bad_count[8] = 4;
+    let mut bad_magic = block.clone();
+    bad_magic[..4].copy_from_slice(b"SKJX");
+    let old_rows = Json::Arr(
+        (1..=3u64)
+            .map(|k| Json::Arr(vec![Json::from_u64(k), Json::from_u64(k)]))
+            .collect(),
+    );
+    let cases = [
+        (Json::str(with(5, "*")), "not in the base64 alphabet"),
+        (Json::str(with(8, "=")), "padding"),
+        (Json::str(&text[..text.len() - 3]), "multiple of 4"),
+        (Json::str(base64::encode(&bad_count)), "tuple bytes"),
+        (Json::str(base64::encode(&bad_magic)), "bad magic"),
+        (old_rows, "v1 array form"),
+    ];
+
+    let svc = small_service(1, 4);
+    let server = protocol::serve(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    for (blob, needle) in cases {
+        protocol::write_frame(&mut stream, &inline_join_with_r(blob)).expect("send");
+        let reply = protocol::read_frame(&mut stream).expect("a reply, not a dropped connection");
+        let resp = JoinResponse::from_json(&reply).expect("parseable response");
+        assert_eq!(resp.id, 0, "protocol errors carry id 0");
+        match resp.outcome {
+            Outcome::Failed { error } => {
+                assert!(error.starts_with("protocol error: relation r: "), "{error}");
+                assert!(
+                    error.contains(needle),
+                    "{error:?} should mention {needle:?}"
+                );
+            }
+            other => panic!("expected a protocol error for {needle:?}, got {other:?}"),
+        }
+    }
+    let valid = inline_join_with_r(Json::str(text));
+    protocol::write_frame(&mut stream, &valid).expect("send");
+    let reply = protocol::read_frame(&mut stream).expect("reply");
+    match JoinResponse::from_json(&reply).expect("parseable").outcome {
+        Outcome::Completed(summary) => assert_eq!(summary.result_count, 1),
+        other => panic!("expected the valid join to complete, got {other:?}"),
+    }
+    drop(stream);
+    server.stop();
+    svc.shutdown();
+}
+
+/// 2^20 tuples a side travel inline in one ≈ 22 MB frame and join to the
+/// reference answer. The version-1 array codec needed ≈ 124 MB, above the
+/// 64 MiB cap.
+#[test]
+fn inline_join_of_a_million_tuples_a_side_crosses_the_wire() {
+    let n = 1u32 << 20;
+    // Two permutations of one key set: every probe tuple matches once.
+    let spread = |i: u32| i.wrapping_mul(2_654_435_761);
+    let r = Relation::from_tuples((0..n).map(|i| Tuple::new(spread(i), i)).collect());
+    let s = Relation::from_tuples((0..n).map(|i| Tuple::new(spread(n - 1 - i), !i)).collect());
+    let mut expected = CountingSink::new();
+    reference_join(&r, &s, &mut expected);
+
+    let req = JoinRequest::inline(
+        "wire",
+        AlgoChoice::parse("cbase").expect("known algorithm"),
+        Arc::new(r),
+        Arc::new(s),
+    );
+    let mut frame = Vec::new();
+    protocol::write_frame(&mut frame, &req.to_json()).expect("fits one frame");
+    assert!(frame.len() < 23 << 20, "{} bytes", frame.len());
+
+    let svc = small_service(1, 4);
+    let server = protocol::serve(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
+    let mut client = protocol::Client::connect(server.addr()).expect("connect");
+    match client.join(&req).expect("join over TCP").outcome {
+        Outcome::Completed(summary) => {
+            assert_eq!(summary.result_count, expected.count());
+            assert_eq!(summary.checksum, expected.checksum());
+        }
+        other => panic!("expected completion, got {other:?}"),
+    }
+    drop(client);
     server.stop();
     svc.shutdown();
 }
