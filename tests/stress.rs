@@ -1,9 +1,12 @@
 //! Large-scale stress tests — `#[ignore]`d by default (minutes of runtime);
 //! run with `cargo test --release -p skewjoin-integration --test stress -- --ignored`.
 
+use skewjoin::common::trace::counter;
+use skewjoin::common::JoinStats;
 use skewjoin::prelude::*;
 
-/// 2M-tuple tables at zipf 0.9: all CPU algorithms agree and CSH leads.
+/// 2M-tuple tables at zipf 0.9: all CPU algorithms agree and CSH does less
+/// hash-table work than Cbase.
 #[test]
 #[ignore = "minutes of runtime; run explicitly with --ignored"]
 fn cpu_agreement_at_2m_tuples() {
@@ -26,12 +29,28 @@ fn cpu_agreement_at_2m_tuples() {
     )
     .unwrap();
     assert_eq!(cbase.result_count, csh.result_count);
+    assert_eq!(cbase.checksum, csh.checksum);
+    assert!(csh.skewed_keys_detected >= 1, "CSH detected no hot key");
     assert!(
-        csh.total_time() < cbase.total_time(),
-        "CSH {:?} vs Cbase {:?}",
-        csh.total_time(),
-        cbase.total_time()
+        csh.skew_output_fraction() > 0.5,
+        "CSH's skew path produced only {:.3} of the output",
+        csh.skew_output_fraction()
     );
+    // CSH leads by doing less hash-table work, not by a wall-clock race.
+    let (csh_work, cbase_work) = (
+        hash_table_work(&csh, "nm_join"),
+        hash_table_work(&cbase, "join"),
+    );
+    assert!(
+        csh_work < cbase_work,
+        "CSH nm_join build+probe {csh_work} not below Cbase join {cbase_work}"
+    );
+}
+
+/// Build plus probe tuples a join phase pushed through hash tables.
+fn hash_table_work(stats: &JoinStats, phase: &str) -> u64 {
+    let get = |c| stats.trace.get(phase, c).unwrap_or(0);
+    get(counter::BUILD_TUPLES) + get(counter::PROBE_TUPLES)
 }
 
 /// The work-stealing scheduler must not change results with the worker
