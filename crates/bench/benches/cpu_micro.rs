@@ -1,28 +1,57 @@
-//! Micro-benchmarks of the CPU join building blocks: radix partitioning,
-//! hash table build/probe, skew detection, and the full joins at two skew
-//! levels. Prints mean time per iteration (see `skewjoin_bench::micro`).
+//! Micro-benchmarks of the CPU join building blocks: radix partitioning
+//! (the pipeline's partition phase, R joined against an empty S so no join
+//! task runs), hash table build/probe, skew detection, and the full joins
+//! at two skew levels. Prints mean time per iteration (see
+//! `skewjoin_bench::micro`).
 
 use skewjoin::common::hash::RadixConfig;
 use skewjoin::common::CountingSink;
 use skewjoin::cpu::hashtable::ChainedTable;
-use skewjoin::cpu::partition::{
-    parallel_radix_partition, parallel_radix_partition_with, ScatterMode,
-};
 use skewjoin::cpu::skew::detect_skewed_keys;
+use skewjoin::cpu::{cbase_join, csh_join, ScatterMode};
 use skewjoin::prelude::*;
 use skewjoin_bench::micro::{bench, black_box, compare, group};
 
 const N: usize = 1 << 18;
 
+/// Partitions `r` (and an empty S) through the pipeline: the partition
+/// phase of `cbase_join` with no join task to run.
+fn partition(r: &Relation, cfg: &CpuJoinConfig) -> u64 {
+    let outcome =
+        cbase_join(r, &Relation::new(), cfg, |_| CountingSink::new()).expect("partition failed");
+    outcome.stats.partitions as u64
+}
+
 fn bench_partitioning() {
     group("cpu_partition");
     let w = PaperWorkload::generate(WorkloadSpec::paper(N, 0.5, 1));
     for bits in [8u32, 12] {
-        let cfg = RadixConfig::two_pass(bits);
+        let cfg = CpuJoinConfig {
+            radix: RadixConfig::two_pass(bits),
+            ..CpuJoinConfig::with_threads(4)
+        };
         bench(&format!("two_pass/{bits}"), 5, || {
-            parallel_radix_partition(black_box(&w.r), &cfg, 4).expect("partition failed")
+            partition(black_box(&w.r), &cfg)
         });
     }
+    // CSH's partitioning with its router hook engaged (hot R tuples go to
+    // per-key runs), at the wide 2048-way first pass.
+    let skewed = PaperWorkload::generate(WorkloadSpec::paper(N, 1.0, 1));
+    let cfg = CpuJoinConfig {
+        radix: RadixConfig {
+            bits_per_pass: vec![11, 4],
+            ..RadixConfig::two_pass(15)
+        },
+        ..CpuJoinConfig::with_threads(4)
+    };
+    bench("csh_hooked/11+4", 5, || {
+        csh_join(black_box(&skewed.r), &Relation::new(), &cfg, |_| {
+            CountingSink::new()
+        })
+        .expect("partition failed")
+        .stats
+        .skewed_keys_detected
+    });
 }
 
 fn bench_hash_table() {
@@ -77,10 +106,13 @@ fn bench_scatter_modes() {
         .into_iter()
         .map(|(name, mode)| {
             let r = &w.r;
-            let cfg = &cfg;
+            let cfg = CpuJoinConfig {
+                radix: cfg.clone(),
+                scatter: mode,
+                ..CpuJoinConfig::with_threads(4)
+            };
             let f: Box<dyn FnMut()> = Box::new(move || {
-                parallel_radix_partition_with(black_box(r.tuples()), cfg, 4, mode)
-                    .expect("partition failed");
+                partition(black_box(r), &cfg);
             });
             (name, f)
         })

@@ -4,17 +4,18 @@
 //!
 //! Two groups of series land in the BENCH JSON:
 //!
-//! * `radix partition (<variant>)` — the partition phase in isolation, at
-//!   full `--tuples` scale with a TLB-hostile 2048-way first pass. No join
-//!   runs, so the sweep stays cheap even at zipf 1.5 where join output is
-//!   quadratic in the hot-key frequency.
+//! * `radix partition (<variant>)` — Cbase's `partition` phase in
+//!   isolation, at full `--tuples` scale with a TLB-hostile 2048-way first
+//!   pass: R is joined against an empty S, so the pipeline partitions R and
+//!   no join task runs. The sweep stays cheap even at zipf 1.5 where join
+//!   output is quadratic in the hot-key frequency.
 //! * `Cbase partition (<variant>)` / `CSH partition+skew (<variant>)` /
 //!   `<algo> total (<variant>)` — Cbase and CSH end to end (at
 //!   `--tuples / 16` with a size-appropriate radix, bounding the zipf-1.5
 //!   output explosion), so the scheduler is also exercised through the
 //!   join task pool and CSH's during-partition skew probe. CSH's phase is
 //!   labelled `partition+skew` because the skew join is fused into its
-//!   partition scans and dominates it at high zipf.
+//!   S scatter and dominates it at high zipf.
 //!
 //! Each cell takes the minimum over its reps to suppress preemption noise
 //! on small machines.
@@ -23,11 +24,12 @@
 //! cargo run --release -p skewjoin-bench --bin sched_micro [--tuples N] [--threads N]
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use skewjoin::common::hash::{RadixConfig, RadixMode};
-use skewjoin::cpu::partition::{parallel_radix_partition_opts, PartitionOptions, SWWC_TUPLES};
-use skewjoin::cpu::{ScatterMode, SchedulerKind, SimdPolicy};
+use skewjoin::common::trace::counter;
+use skewjoin::common::CountingSink;
+use skewjoin::cpu::{cbase_join, ScatterMode, SchedulerKind};
 use skewjoin::prelude::*;
 use skewjoin_bench::{fmt_time, BenchArgs, BenchRecord};
 
@@ -57,7 +59,7 @@ const VARIANTS: [Variant; 2] = [
 
 /// A 2048-way first pass: the scatter touches far more destination pages
 /// than a dTLB holds (where write-combining pays off) and hands the
-/// refinement pass 2048 parent tasks (where per-task dispatch cost shows).
+/// pipeline 2048 Refine tasks (where per-task dispatch cost shows).
 fn wide_radix() -> RadixConfig {
     RadixConfig {
         bits_per_pass: vec![11, 4],
@@ -92,25 +94,28 @@ fn bench_partition_only(args: &BenchArgs, record: &mut BenchRecord) {
     let radix = wide_radix();
     for zipf in zipf_sweep() {
         let w = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, zipf, args.seed));
+        let empty = Relation::new();
         let mut best = [Duration::MAX; VARIANTS.len()];
         // Variants are interleaved inside each rep (not run as blocks) so
         // machine noise bursts hit both equally; min-of-reps then samples
         // each variant's quiet-period time.
         for _ in 0..PARTITION_REPS {
             for (vi, v) in VARIANTS.iter().enumerate() {
-                let opts = PartitionOptions {
+                let cfg = CpuJoinConfig {
                     threads: args.threads,
-                    mode: v.scatter,
-                    wc_tuples: SWWC_TUPLES,
+                    radix: radix.clone(),
                     scheduler: v.scheduler,
-                    simd: SimdPolicy::Auto.resolve(),
+                    scatter: v.scatter,
+                    ..CpuJoinConfig::default()
                 };
-                let start = Instant::now();
-                let (parted, _stats) = parallel_radix_partition_opts(w.r.tuples(), &radix, &opts)
+                let outcome = cbase_join(&w.r, &empty, &cfg, |_| CountingSink::new())
                     .expect("partition failed");
-                let elapsed = start.elapsed();
-                assert_eq!(parted.data.len(), w.r.len());
-                best[vi] = best[vi].min(elapsed);
+                let stats = &outcome.stats;
+                assert_eq!(
+                    stats.trace.get("partition", counter::TUPLES_OUT),
+                    Some(w.r.len() as u64)
+                );
+                best[vi] = best[vi].min(stats.phases.get("partition"));
             }
         }
         for (vi, v) in VARIANTS.iter().enumerate() {

@@ -7,6 +7,12 @@
 //!   that include skewed-tuple result generation, per the paper's
 //!   comparison of skew-processing components).
 //! * "CSH NM-join" — `nm_join`.
+//!
+//! Cbase and CSH partition and join in one morsel pipeline, so partition
+//! and join work overlap and their rows split by timestamp: partitioning
+//! ends when both inputs are fully partitioned, and join tasks that ran
+//! before that count as partition time. CSH's `partition_r` ends when R is
+//! partitioned or S's hot-key emission starts, whichever comes first.
 //! * "Gbase partition" / "Gbase join" — as recorded (simulated).
 //! * "GSH partition" — `partition + split` (the data-movement phases; the
 //!   paper's row grows with skew exactly because the split pass does).

@@ -1,9 +1,9 @@
 //! **Cbase** — the baseline parallel radix join (Balkesen et al., ICDE 2013,
 //! the paper's \[16\]).
 //!
-//! Partition phase: two radix passes ([`parallel_radix_partition_with`]), the
-//! first segment-parallel with contention-free scatter, the second pulled
-//! from a task queue. Join phase: every `(R partition, S partition)` pair is
+//! Partition phase: radix passes over both inputs, the first
+//! segment-parallel with contention-free scatter, the later ones per
+//! pass-0 partition. Join phase: every `(R partition, S partition)` pair is
 //! a task in a dynamic queue; each task builds a bucket-chaining hash table
 //! over its R partition and probes with its S partition.
 //!
@@ -14,11 +14,11 @@
 //! with one key can never be split apart, which is exactly the pathology
 //! §III measures and `CSH` fixes.
 //!
-//! [`cbase_join`] itself executes through the morsel pipeline in
-//! [`crate::morsel`]: partition, build, and probe morsels flow through one
-//! scheduler run with no global phase barrier. The barrier-style
-//! [`join_partitions`] driver below is retained for CSH's NM-join, whose
-//! partition phase is fused with inline skew probing and stays scan-based.
+//! [`cbase_join`] executes through the morsel pipeline in [`crate::morsel`]:
+//! partition, build, and probe morsels flow through one scheduler run with
+//! no global phase barrier. CSH runs the same pipeline with its hot-key
+//! router hook; both dispatch their join tasks into `JoinPhase`, defined
+//! here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,19 +31,18 @@ use skewjoin_common::{
 
 use crate::config::CpuJoinConfig;
 use crate::hashtable::ChainedTable;
-use crate::partition::{partition_slice_by, PartitionedRelation};
+use crate::morsel::{run_pipeline, Flavor};
+use crate::partition::partition_slice_by;
 use crate::simd::SimdLevel;
-use crate::task::{run_to_completion, SchedStats, TaskQueue};
+use crate::task::SchedStats;
 use crate::util::SharedTupleSlice;
 use crate::{aggregate_sinks, JoinOutcome};
 
-/// A tuple buffer a join task can reference: a slice of the global
-/// partitioned relation, a shared buffer produced by task splitting, or a
-/// raw view into one of the morsel pipeline's output buffers.
+/// A tuple buffer a join task can reference: a shared buffer produced by
+/// task splitting, or a raw view into one of the morsel pipeline's output
+/// buffers.
 #[derive(Clone)]
-pub(crate) enum TupleBuf<'a> {
-    /// Borrowed slice of a fully materialised partitioned relation.
-    Slice(&'a [Tuple]),
+pub(crate) enum TupleBuf {
     /// Shared buffer produced by recursive task splitting.
     Shared(Arc<[Tuple]>),
     /// Raw view into a morsel-pipeline buffer. Only constructed by
@@ -54,11 +53,10 @@ pub(crate) enum TupleBuf<'a> {
     Raw(SharedTupleSlice),
 }
 
-impl TupleBuf<'_> {
+impl TupleBuf {
     #[inline]
     pub(crate) fn get(&self, range: &std::ops::Range<usize>) -> &[Tuple] {
         match self {
-            TupleBuf::Slice(s) => &s[range.clone()],
             TupleBuf::Shared(s) => &s[range.clone()],
             // SAFETY: quiescence per the variant's construction contract.
             TupleBuf::Raw(s) => unsafe { s.slice(range.clone()) },
@@ -68,19 +66,18 @@ impl TupleBuf<'_> {
 
 /// One join task: matching ranges of R and S tuples plus the radix depth at
 /// which further splitting would continue.
-pub(crate) struct JoinTask<'a> {
-    pub(crate) r_buf: TupleBuf<'a>,
+pub(crate) struct JoinTask {
+    pub(crate) r_buf: TupleBuf,
     pub(crate) r_range: std::ops::Range<usize>,
-    pub(crate) s_buf: TupleBuf<'a>,
+    pub(crate) s_buf: TupleBuf,
     pub(crate) s_range: std::ops::Range<usize>,
     /// Next unconsumed bit of the mixed key for splitting.
     pub(crate) shift: u32,
     pub(crate) depth: u32,
 }
 
-/// Shared parameters of the join phase, independent of which scheduler run
-/// executes the tasks: the barrier-style [`join_partitions`] driver and the
-/// morsel pipeline both dispatch into [`JoinPhase::run_task`].
+/// Shared parameters of the join phase; the morsel pipeline dispatches its
+/// join tasks into [`JoinPhase::run_task`], for Cbase and CSH alike.
 pub(crate) struct JoinPhase {
     r_split_threshold: usize,
     s_split_threshold: usize,
@@ -113,7 +110,7 @@ struct JoinPhaseCounters {
     max_chain_len: AtomicU64,
 }
 
-/// Final counter values of one [`join_partitions`] run, recorded into the
+/// Final counter values of one pipeline run's join phase, recorded into the
 /// caller's [`Trace`] under its own phase name ("join" for Cbase, "nm_join"
 /// for CSH).
 pub(crate) struct JoinPhaseReport {
@@ -199,14 +196,13 @@ impl JoinPhase {
     }
 
     /// Executes one task: split if oversized and splittable, else build and
-    /// probe. Splits go through `spawn` — the barrier driver forwards it to
-    /// the worker's own deque and the morsel pipeline wraps it into its own
-    /// task type — so sub-pairs stay cache-hot on the splitting thread
-    /// unless stolen.
-    pub(crate) fn run_task<'a, S: OutputSink>(
+    /// probe. Splits go through `spawn`, which the morsel pipeline wraps
+    /// into its own task type on the worker's own deque, so sub-pairs stay
+    /// cache-hot on the splitting thread unless stolen.
+    pub(crate) fn run_task<S: OutputSink>(
         &self,
-        task: JoinTask<'a>,
-        spawn: &mut dyn FnMut(JoinTask<'a>),
+        task: JoinTask,
+        spawn: &mut dyn FnMut(JoinTask),
         sink: &mut S,
     ) {
         let r = task.r_buf.get(&task.r_range);
@@ -278,10 +274,10 @@ impl JoinPhase {
     /// no progress (all tuples of both sides land in one sub-partition —
     /// i.e. the task is dominated by a single join key), in which case the
     /// caller joins the task directly.
-    fn try_split<'a>(
+    fn try_split(
         &self,
-        task: &JoinTask<'a>,
-        spawn: &mut dyn FnMut(JoinTask<'a>),
+        task: &JoinTask,
+        spawn: &mut dyn FnMut(JoinTask),
         r: &[Tuple],
         s: &[Tuple],
     ) -> Option<()> {
@@ -330,8 +326,7 @@ impl JoinPhase {
 ///
 /// Execution is morsel-driven (see [`crate::morsel`]): partition, build,
 /// and probe work flows through one scheduler run in ~`cfg.morsel_tuples`
-/// units with no global barrier between the phases. Results and per-phase
-/// accounting are identical to the former barrier execution.
+/// units with no global barrier between the phases.
 pub fn cbase_join<S, F>(
     r: &Relation,
     s: &Relation,
@@ -344,95 +339,12 @@ where
 {
     cfg.validate()?;
     let mut stats = JoinStats::new("Cbase");
-    let sinks = crate::morsel::run_pipeline(r, s, cfg, &make_sink, &mut stats)?;
+    let sinks = run_pipeline(r, s, cfg, Flavor::Cbase, &make_sink, &mut stats)?;
     aggregate_sinks(&mut stats, &sinks);
     stats
         .trace
         .set("join", counter::RESULTS, stats.result_count);
     Ok(JoinOutcome { stats, sinks })
-}
-
-/// Join-phase driver shared by Cbase and CSH's NM-join: seeds the task
-/// queue with all non-empty partition pairs (largest first) and runs it to
-/// completion on one worker per sink in `sinks` (which are handed back,
-/// updated, in the same order). `allow_split` enables Cbase's large-task
-/// splitting.
-///
-/// Fails with [`JoinError::WorkerPanicked`] if a join worker panics
-/// (organic or via the `sched.*` failpoints) and with
-/// [`JoinError::PartitionOverflow`] if a task exceeds the build budget and
-/// recursive re-partitioning cannot shrink it.
-pub(crate) fn join_partitions<S>(
-    parted_r: &PartitionedRelation,
-    parted_s: &PartitionedRelation,
-    cfg: &CpuJoinConfig,
-    sinks: Vec<S>,
-    allow_split: bool,
-) -> Result<(Vec<S>, JoinPhaseReport), JoinError>
-where
-    S: OutputSink,
-{
-    let parts = parted_r.partitions();
-    assert_eq!(parts, parted_s.partitions(), "mismatched partition fan-out");
-
-    let phase = JoinPhase::new(
-        cfg,
-        parted_r.data.len(),
-        parted_s.data.len(),
-        parts,
-        allow_split,
-    );
-
-    // Largest pairs first so stragglers start early.
-    let mut pids: Vec<usize> = (0..parts)
-        .filter(|&p| parted_r.directory.size(p) > 0 && parted_s.directory.size(p) > 0)
-        .collect();
-    pids.sort_unstable_by_key(|&p| {
-        std::cmp::Reverse(parted_r.directory.size(p) + parted_s.directory.size(p))
-    });
-    let queue = TaskQueue::seeded(
-        cfg.scheduler,
-        pids.into_iter().map(|p| JoinTask {
-            r_buf: TupleBuf::Slice(&parted_r.data),
-            r_range: parted_r.directory.range(p),
-            s_buf: TupleBuf::Slice(&parted_s.data),
-            s_range: parted_s.directory.range(p),
-            shift: cfg.radix.total_bits(),
-            depth: 0,
-        }),
-    );
-
-    let slots: Vec<Mutex<S>> = sinks.into_iter().map(Mutex::new).collect();
-    let sched = run_to_completion(&queue, slots.len(), |worker| {
-        // Each worker owns its slot for the whole run — the lock is taken
-        // exactly once per thread, so there is no contention. A panicking
-        // sink poisons its own slot's mutex, which the scheduler's outer
-        // recovery boundary absorbs along with the panic itself.
-        let mut sink = slots[worker.index()]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        worker.run(|task, w| phase.run_task(task, &mut |t| w.spawn(t), &mut *sink));
-    })
-    .map_err(|worker| JoinError::WorkerPanicked {
-        worker,
-        phase: if allow_split { "join" } else { "nm_join" }.into(),
-    })?;
-    if let Some(msg) = phase.take_overflow() {
-        return Err(JoinError::PartitionOverflow(msg));
-    }
-    // A cancel observed mid-phase left the sinks partially fed; the typed
-    // error makes the caller discard them.
-    cfg.cancel
-        .check(if allow_split { "join" } else { "nm_join" })?;
-    let report = phase.report(sched);
-    let sinks = slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        })
-        .collect();
-    Ok((sinks, report))
 }
 
 #[cfg(test)]

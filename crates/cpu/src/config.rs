@@ -3,7 +3,7 @@
 use skewjoin_common::hash::RadixConfig;
 use skewjoin_common::{CancelToken, JoinError};
 
-use crate::partition::{PartitionOptions, ScatterMode, SWWC_TUPLES};
+use crate::partition::{ScatterMode, SWWC_TUPLES};
 use crate::simd::SimdPolicy;
 use crate::task::SchedulerKind;
 
@@ -166,17 +166,6 @@ impl CpuJoinConfig {
         }
     }
 
-    /// The partitioning knobs this configuration implies.
-    pub fn partition_options(&self) -> PartitionOptions {
-        PartitionOptions {
-            threads: self.threads,
-            mode: self.scatter,
-            wc_tuples: self.wc_tuples,
-            scheduler: self.scheduler,
-            simd: self.simd.resolve(),
-        }
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), JoinError> {
         if self.threads == 0 {
@@ -321,27 +310,6 @@ mod tests {
         assert!(cfg.validate().is_ok());
         cfg.morsel_tuples = 1 << 24;
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn partition_options_mirror_config() {
-        let mut cfg = CpuJoinConfig::with_threads(3);
-        cfg.scatter = ScatterMode::Buffered;
-        cfg.wc_tuples = 16;
-        cfg.scheduler = SchedulerKind::Mutex;
-        let opts = cfg.partition_options();
-        assert_eq!(opts.threads, 3);
-        assert_eq!(opts.mode, ScatterMode::Buffered);
-        assert_eq!(opts.wc_tuples, 16);
-        assert_eq!(opts.scheduler, SchedulerKind::Mutex);
-        assert_eq!(opts.simd, cfg.simd.resolve());
-
-        let mut scalar = CpuJoinConfig::with_threads(1);
-        scalar.simd = SimdPolicy::Scalar;
-        assert_eq!(
-            scalar.partition_options().simd,
-            crate::simd::SimdLevel::Scalar
-        );
     }
 
     #[test]

@@ -1,44 +1,40 @@
-//! **CSH** — the paper's CPU Skew-conscious Hash join (§IV-A).
+//! **CSH** — the paper's CPU Skew-conscious Hash join (§IV-A): Cbase's
+//! radix join plus two additions.
 //!
-//! Four phases:
+//! 1. **Detect** skewed keys before partitioning — by sampling ~1 % of R
+//!    (keys sampled at least twice are skewed) or with the Misra–Gries
+//!    extension — and give each a dedicated skewed partition in the
+//!    [`SkewCheckupTable`].
+//! 2. **Route** every tuple through the checkup table while partitioning.
+//!    This is a router hook on the morsel pipeline Cbase runs
+//!    ([`crate::morsel`]): hot R tuples go to per-key runs instead of radix
+//!    partitions, and a hot S tuple is never stored — its join results are
+//!    produced immediately by a sequential scan of the matching R run
+//!    (hybrid-hash-join style, no per-result key verification since every
+//!    R tuple in the run carries the same key). The remaining normal
+//!    partitions go through Cbase's join tasks, with large-task splitting
+//!    off.
 //!
-//! 1. **Detect** skewed keys by sampling ~1 % of table R; keys sampled at
-//!    least twice are skewed and each gets a dedicated *skewed partition*
-//!    recorded in the [`SkewCheckupTable`].
-//! 2. **Partition R**: every tuple is checked against the checkup table;
-//!    skewed tuples go to their per-key array, normal tuples go through the
-//!    usual radix partitioning.
-//! 3. **Partition S**: normal tuples are radix-partitioned; a *skewed* S
-//!    tuple is never copied — its join results are produced immediately by
-//!    a sequential scan of the matching skewed R array (hybrid-hash-join
-//!    style, no per-result key verification needed since every R tuple in
-//!    the array carries the same key).
-//! 4. **NM-join**: the remaining normal partitions are joined exactly like
-//!    Cbase's join phase.
+//! On data without hot keys the table is empty, the hook is absent, and
+//! CSH runs exactly Cbase's code path, so the two tie.
 //!
 //! The phase names recorded in [`JoinStats`] are `sample`, `partition_r`,
 //! `partition_s`, and `nm_join`; Table I's "CSH sample+part" row is the sum
-//! of the first three.
+//! of the first three. Partitioning and joining overlap in the pipeline, so
+//! the last three are attributed by timestamp (see [`crate::morsel`]).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use skewjoin_common::histogram::{per_worker_offsets, PartitionDirectory};
 use skewjoin_common::trace::counter;
-use skewjoin_common::{faults, JoinError, JoinStats, OutputSink, Relation, Tuple};
+use skewjoin_common::{JoinError, JoinStats, OutputSink, Relation};
 
-use crate::cbase::join_partitions;
-use crate::config::CpuJoinConfig;
-use crate::partition::{
-    refine_passes, PartitionStats, PartitionedRelation, ScatterMode, WriteCombiner,
-};
+use crate::config::{CpuJoinConfig, SkewDetectorKind};
+use crate::morsel::{run_pipeline, Flavor};
 use crate::skew::{detect_skewed_keys, SkewCheckupTable};
-use crate::util::{segment, SharedTupleSlice};
 use crate::{aggregate_sinks, JoinOutcome};
 
 /// Runs the CSH join. `make_sink(tid)` constructs each worker thread's
-/// output sink; sinks receive results both during S partitioning (skewed
+/// output sink; sinks receive results both while S is partitioned (hot
 /// tuples) and during the NM-join (normal tuples).
 ///
 /// ```
@@ -71,15 +67,12 @@ where
 {
     cfg.validate()?;
     let mut stats = JoinStats::new("CSH");
-    let threads = cfg.threads;
 
-    // ---- Phase 1: skew detection over R (sampling per the paper, or the
-    // Misra–Gries single-pass extension). ----
     cfg.cancel.check("sample")?;
     let t0 = Instant::now();
     let skewed = match cfg.detector {
-        crate::config::SkewDetectorKind::Sampling => detect_skewed_keys(r, &cfg.skew),
-        crate::config::SkewDetectorKind::Frequent {
+        SkewDetectorKind::Sampling => detect_skewed_keys(r, &cfg.skew),
+        SkewDetectorKind::Frequent {
             capacity,
             min_fraction,
         } => crate::frequent::detect_heavy_hitters(r, capacity, min_fraction),
@@ -94,368 +87,22 @@ where
         .trace
         .set("sample", counter::SKEWED_KEYS, skewed.len() as u64);
 
-    // ---- Phase 2: partition R, splitting skewed tuples out. ----
-    cfg.cancel.check("partition_r")?;
-    let t1 = Instant::now();
-    let (norm_r, skew_data, skew_dir, pstats_r) = partition_r_with_skew(r, cfg, &checkup)?;
-    stats.phases.record("partition_r", t1.elapsed());
-    stats.partitions = norm_r.partitions();
-    {
-        let p = stats.trace.phase("partition_r");
-        p.add(counter::TUPLES_IN, r.len() as u64);
-        p.add(
-            counter::TUPLES_OUT,
-            (norm_r.data.len() + skew_data.len()) as u64,
-        );
-        p.set(counter::PARTITIONS, norm_r.partitions() as u64);
-        p.add(counter::BUFFER_FLUSHES, pstats_r.buffer_flushes);
-        p.add(counter::TASKS_STOLEN, pstats_r.sched.tasks_stolen);
-        p.add(counter::STEAL_FAILURES, pstats_r.sched.steal_failures);
-    }
-
-    // ---- Phase 3: partition S; skewed S tuples emit results on the fly. ----
-    cfg.cancel.check("partition_s")?;
-    let t2 = Instant::now();
-    let mut sinks: Vec<S> = (0..threads).map(&make_sink).collect();
-    let (norm_s, pstats_s) =
-        partition_s_with_skew(s, cfg, &checkup, &skew_data, &skew_dir, &mut sinks)?;
-    stats.phases.record("partition_s", t2.elapsed());
-    stats.skew_path_results = sinks.iter().map(|s| s.count()).sum();
-    {
-        let skew_s_tuples = (s.len() - norm_s.data.len()) as u64;
-        let p = stats.trace.phase("partition_s");
-        p.add(counter::TUPLES_IN, s.len() as u64);
-        p.add(
-            counter::TUPLES_OUT,
-            norm_s.data.len() as u64 + skew_s_tuples,
-        );
-        p.set("skew_probe_tuples", skew_s_tuples);
-        p.set("skew_results", stats.skew_path_results);
-        p.add(counter::BUFFER_FLUSHES, pstats_s.buffer_flushes);
-        p.add(counter::TASKS_STOLEN, pstats_s.sched.tasks_stolen);
-        p.add(counter::STEAL_FAILURES, pstats_s.sched.steal_failures);
-    }
-
-    // ---- Phase 4: NM-join over normal partitions. ----
-    cfg.cancel.check("nm_join")?;
-    let t3 = Instant::now();
-    let (sinks, report) = join_partitions(&norm_r, &norm_s, cfg, sinks, false)?;
-    stats.phases.record("nm_join", t3.elapsed());
-    report.record(&mut stats.trace, "nm_join");
-
+    let sinks = run_pipeline(r, s, cfg, Flavor::Csh(&checkup), &make_sink, &mut stats)?;
     aggregate_sinks(&mut stats, &sinks);
     stats.trace.set(
         "nm_join",
         counter::RESULTS,
-        stats.result_count - stats.skew_path_results,
+        stats.result_count.saturating_sub(stats.skew_path_results),
     );
     Ok(JoinOutcome { stats, sinks })
-}
-
-/// Partitions R into (normal radix partitions, per-skewed-key arrays).
-///
-/// Same two-scan contention-free scheme as Cbase's first pass, except both
-/// scans consult the checkup table: scan 1 counts normal tuples per radix
-/// partition *and* skewed tuples per skewed key; the prefix sums then give
-/// every thread private cursors into both output buffers.
-///
-/// A panicking scatter worker is absorbed at the scope boundary and
-/// reported as [`JoinError::WorkerPanicked`] with phase `partition_r`.
-fn partition_r_with_skew(
-    r: &Relation,
-    cfg: &CpuJoinConfig,
-    checkup: &SkewCheckupTable,
-) -> Result<
-    (
-        PartitionedRelation,
-        Vec<Tuple>,
-        PartitionDirectory,
-        PartitionStats,
-    ),
-    JoinError,
-> {
-    let threads = cfg.threads;
-    let radix = &cfg.radix;
-    let n_skew = checkup.len();
-
-    // Scan 1: per-thread histograms.
-    let mut norm_hists = vec![Vec::new(); threads];
-    let mut skew_hists = vec![Vec::new(); threads];
-    std::thread::scope(|scope| {
-        for (w, (nh, sh)) in norm_hists.iter_mut().zip(skew_hists.iter_mut()).enumerate() {
-            let chunk = &r[segment(r.len(), threads, w)];
-            scope.spawn(move || {
-                let mut norm = vec![0usize; radix.fanout(0)];
-                let mut skew = vec![0usize; n_skew];
-                for t in chunk {
-                    match checkup.lookup(t.key) {
-                        Some(pid) => skew[pid as usize] += 1,
-                        None => norm[radix.partition_of(t.key, 0)] += 1,
-                    }
-                }
-                *nh = norm;
-                *sh = skew;
-            });
-        }
-    });
-
-    let (norm_offsets, norm_starts) = per_worker_offsets(&norm_hists);
-    let total_norm = *norm_starts.last().expect("non-empty");
-    let (skew_offsets, skew_starts) = if n_skew > 0 {
-        per_worker_offsets(&skew_hists)
-    } else {
-        (vec![Vec::new(); threads], vec![0])
-    };
-    let total_skew = *skew_starts.last().expect("non-empty");
-    debug_assert_eq!(total_norm + total_skew, r.len());
-
-    // Scan 2: contention-free scatter into both buffers. Skewed tuples are
-    // always written directly — each skewed key's array is a hot sequential
-    // range, so write-combining buys nothing there. Normal tuples go
-    // through the write combiner when configured.
-    let flushes = AtomicU64::new(0);
-    let panicked = AtomicUsize::new(0);
-    let mut norm_data = vec![Tuple::default(); total_norm];
-    let mut skew_data = vec![Tuple::default(); total_skew];
-    {
-        let norm_shared = SharedTupleSlice::new(&mut norm_data);
-        let skew_shared = SharedTupleSlice::new(&mut skew_data);
-        let flushes = &flushes;
-        let panicked = &panicked;
-        std::thread::scope(|scope| {
-            for (w, (mut ncur, mut scur)) in norm_offsets.into_iter().zip(skew_offsets).enumerate()
-            {
-                let chunk = &r[segment(r.len(), threads, w)];
-                scope.spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        faults::maybe_panic("cpu.partition.scatter");
-                        let mut wc = match cfg.scatter {
-                            ScatterMode::Buffered => {
-                                Some(WriteCombiner::new(radix.fanout(0), cfg.wc_tuples))
-                            }
-                            ScatterMode::Direct => None,
-                        };
-                        for t in chunk {
-                            match checkup.lookup(t.key) {
-                                Some(pid) => {
-                                    let c = &mut scur[pid as usize];
-                                    // SAFETY: per-(key, thread) cursor ranges are
-                                    // disjoint by prefix-sum construction.
-                                    unsafe { skew_shared.write(*c, *t) };
-                                    *c += 1;
-                                }
-                                None => {
-                                    let p = radix.partition_of(t.key, 0);
-                                    match &mut wc {
-                                        // SAFETY: staged writes land in the same
-                                        // disjoint per-(partition, thread) cursor
-                                        // ranges as the direct path.
-                                        Some(wc) => unsafe {
-                                            wc.stage(p, *t, &mut ncur, norm_shared)
-                                        },
-                                        None => {
-                                            let c = &mut ncur[p];
-                                            // SAFETY: as above.
-                                            unsafe { norm_shared.write(*c, *t) };
-                                            *c += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if let Some(mut wc) = wc {
-                            // Partial lines must land before the scope joins:
-                            // the refinement pass reads these ranges next.
-                            // SAFETY: as above.
-                            unsafe { wc.flush_all(&mut ncur, norm_shared) };
-                            flushes.fetch_add(wc.flushes(), Ordering::Relaxed);
-                        }
-                    }));
-                    if outcome.is_err() {
-                        let _ = panicked.compare_exchange(
-                            0,
-                            w + 1,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                    }
-                });
-            }
-        });
-    }
-    if let Some(worker) = panicked.load(Ordering::Acquire).checked_sub(1) {
-        return Err(JoinError::WorkerPanicked {
-            worker,
-            phase: "partition_r".into(),
-        });
-    }
-
-    // Remaining radix passes over the normal buffer only.
-    let (norm_data, norm_dir_starts, sched) = refine_passes(
-        norm_data,
-        norm_starts,
-        radix,
-        threads,
-        1,
-        cfg.scheduler,
-        cfg.simd.resolve(),
-    )?;
-
-    Ok((
-        PartitionedRelation {
-            data: norm_data,
-            directory: PartitionDirectory::new(norm_dir_starts),
-        },
-        skew_data,
-        PartitionDirectory::new(skew_starts),
-        PartitionStats {
-            buffer_flushes: flushes.into_inner(),
-            sched,
-        },
-    ))
-}
-
-/// Partitions S's normal tuples and immediately joins its skewed tuples
-/// against the skewed R arrays.
-///
-/// A panic in a scatter worker — including one thrown by a sink's
-/// `emit_r_run` mid-probe — is absorbed at the scope boundary and reported
-/// as [`JoinError::WorkerPanicked`] with phase `partition_s`; the sinks are
-/// left in whatever partially-fed state the panic found them in, which is
-/// fine because the caller discards them on error.
-fn partition_s_with_skew<S: OutputSink>(
-    s: &Relation,
-    cfg: &CpuJoinConfig,
-    checkup: &SkewCheckupTable,
-    skew_data: &[Tuple],
-    skew_dir: &PartitionDirectory,
-    sinks: &mut [S],
-) -> Result<(PartitionedRelation, PartitionStats), JoinError> {
-    let threads = cfg.threads;
-    let radix = &cfg.radix;
-
-    // Scan 1: count normal tuples only.
-    let mut norm_hists = vec![Vec::new(); threads];
-    std::thread::scope(|scope| {
-        for (w, nh) in norm_hists.iter_mut().enumerate() {
-            let chunk = &s[segment(s.len(), threads, w)];
-            scope.spawn(move || {
-                let mut norm = vec![0usize; radix.fanout(0)];
-                for t in chunk {
-                    if checkup.lookup(t.key).is_none() {
-                        norm[radix.partition_of(t.key, 0)] += 1;
-                    }
-                }
-                *nh = norm;
-            });
-        }
-    });
-
-    let (norm_offsets, norm_starts) = per_worker_offsets(&norm_hists);
-    let total_norm = *norm_starts.last().expect("non-empty");
-
-    // Scan 2: scatter normals; skewed tuples join on the fly — a sequential
-    // read of the skewed R array, no key verification per result (§IV-A).
-    // The inline skew probe only reads `skew_data` and writes to the sink,
-    // never the normal buffer, so staged normal tuples may legally sit in
-    // the write combiner across a probe; what *must* happen is the
-    // remainder flush before this scope joins, because the refinement pass
-    // below reads the normal buffer immediately after.
-    let flushes = AtomicU64::new(0);
-    let panicked = AtomicUsize::new(0);
-    let mut norm_data = vec![Tuple::default(); total_norm];
-    {
-        let norm_shared = SharedTupleSlice::new(&mut norm_data);
-        let flushes = &flushes;
-        let panicked = &panicked;
-        std::thread::scope(|scope| {
-            for (w, (mut ncur, sink)) in norm_offsets.into_iter().zip(sinks.iter_mut()).enumerate()
-            {
-                let chunk = &s[segment(s.len(), threads, w)];
-                scope.spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        faults::maybe_panic("cpu.partition.scatter");
-                        let mut wc = match cfg.scatter {
-                            ScatterMode::Buffered => {
-                                Some(WriteCombiner::new(radix.fanout(0), cfg.wc_tuples))
-                            }
-                            ScatterMode::Direct => None,
-                        };
-                        for t in chunk {
-                            match checkup.lookup(t.key) {
-                                Some(pid) => {
-                                    let run = &skew_data[skew_dir.range(pid as usize)];
-                                    sink.emit_r_run(t.key, run, t.payload);
-                                }
-                                None => {
-                                    let p = radix.partition_of(t.key, 0);
-                                    match &mut wc {
-                                        // SAFETY: staged writes land in the same
-                                        // disjoint cursor ranges as in R.
-                                        Some(wc) => unsafe {
-                                            wc.stage(p, *t, &mut ncur, norm_shared)
-                                        },
-                                        None => {
-                                            let c = &mut ncur[p];
-                                            // SAFETY: disjoint cursor ranges, as in R.
-                                            unsafe { norm_shared.write(*c, *t) };
-                                            *c += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if let Some(mut wc) = wc {
-                            // SAFETY: as above.
-                            unsafe { wc.flush_all(&mut ncur, norm_shared) };
-                            flushes.fetch_add(wc.flushes(), Ordering::Relaxed);
-                        }
-                    }));
-                    if outcome.is_err() {
-                        let _ = panicked.compare_exchange(
-                            0,
-                            w + 1,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                    }
-                });
-            }
-        });
-    }
-    if let Some(worker) = panicked.load(Ordering::Acquire).checked_sub(1) {
-        return Err(JoinError::WorkerPanicked {
-            worker,
-            phase: "partition_s".into(),
-        });
-    }
-
-    let (norm_data, norm_dir_starts, sched) = refine_passes(
-        norm_data,
-        norm_starts,
-        radix,
-        threads,
-        1,
-        cfg.scheduler,
-        cfg.simd.resolve(),
-    )?;
-    Ok((
-        PartitionedRelation {
-            data: norm_data,
-            directory: PartitionDirectory::new(norm_dir_starts),
-        },
-        PartitionStats {
-            buffer_flushes: flushes.into_inner(),
-            sched,
-        },
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::reference_join;
-    use skewjoin_common::CountingSink;
+    use crate::ScatterMode;
+    use skewjoin_common::{CountingSink, Tuple};
     use skewjoin_datagen::{PaperWorkload, WorkloadSpec};
 
     fn assert_matches_reference(r: &Relation, s: &Relation, cfg: &CpuJoinConfig) -> JoinStats {
@@ -551,7 +198,7 @@ mod tests {
     fn frequent_detector_matches_reference_and_sampling() {
         let w = PaperWorkload::generate(WorkloadSpec::paper(8192, 1.0, 29));
         let mut cfg = CpuJoinConfig::with_threads(4);
-        cfg.detector = crate::config::SkewDetectorKind::Frequent {
+        cfg.detector = SkewDetectorKind::Frequent {
             capacity: 512,
             min_fraction: 0.005,
         };
@@ -562,9 +209,9 @@ mod tests {
 
     #[test]
     fn buffered_scatter_matches_reference_with_skew_probe() {
-        // Skewed keys flow through the inline probe while normal tuples sit
-        // in write-combining buffers; remainders must flush before the
-        // refinement pass reads them.
+        // Hot S tuples are consumed by the router hook while normal tuples
+        // sit in write-combining buffers; remainders must flush before the
+        // Scatter task counts itself done and Refine reads them.
         let w = PaperWorkload::generate(WorkloadSpec::paper(8192, 1.0, 41));
         for wc_tuples in [4usize, 8, 32] {
             let mut cfg = CpuJoinConfig::with_threads(4);

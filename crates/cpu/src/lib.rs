@@ -13,7 +13,8 @@
 //!   keys are detected by sampling *before* partitioning, R tuples of skewed
 //!   keys are segregated into per-key arrays, skewed S tuples produce join
 //!   output *during* the partition phase (hybrid-hash-join style), and the
-//!   remaining normal partitions go through a conventional NM-join.
+//!   remaining normal partitions go through a conventional NM-join. It is
+//!   Cbase's [`morsel`] pipeline plus a router hook.
 //!
 //! All three compute identical result sets (verified by integration tests
 //! against a nested-loop reference) and report per-phase wall-clock times in
@@ -42,7 +43,7 @@ pub use cbase::cbase_join;
 pub use config::{CpuJoinConfig, SkewDetectConfig, SkewDetectorKind, DEFAULT_MORSEL_TUPLES};
 pub use csh::csh_join;
 pub use npj::npj_join;
-pub use partition::{PartitionOptions, PartitionStats, ScatterMode};
+pub use partition::ScatterMode;
 pub use reference::reference_join;
 pub use route::{BuildRoute, ShardRouter};
 pub use simd::{SimdLevel, SimdPolicy};

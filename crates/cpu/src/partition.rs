@@ -1,52 +1,26 @@
-//! Parallel multi-pass radix partitioning (the partition phase of `Cbase`
-//! and `CSH`).
+//! Radix-partitioning kernels of the morsel pipeline ([`crate::morsel`]),
+//! which is the one CPU partitioner for both Cbase and CSH.
 //!
-//! Pass 0 follows Balkesen et al.'s contention-free scheme: the input is
-//! divided into equal segments, one per thread; each thread scans its
-//! segment twice — once to build a histogram, once to scatter — with the
-//! per-`(partition, thread)` write cursors produced by a global prefix sum
-//! in between, so no two threads ever write the same output index.
+//! Pass 0 follows Balkesen et al.'s contention-free scheme: each input
+//! segment is histogrammed, a prefix sum hands every `(bucket, segment)`
+//! pair a private output range, and `scatter_direct` or
+//! `scatter_buffered` (software write-combining) copies the segment into
+//! its ranges, hashing a SIMD batch at a time. A per-tuple `Route`
+//! closure can override the radix bucket: CSH's router hook sends hot R
+//! tuples to per-key runs past the radix buckets and consumes hot S tuples
+//! without storing them. The later passes run per pass-0 partition inside
+//! the pipeline's Refine tasks, so final partitions come out in
+//! *memory order* ([`memory_pid`]).
 //!
-//! Later passes treat each existing partition as an independent task pulled
-//! from a [`TaskQueue`], exactly like `Cbase`'s
-//! second pass: a thread claims a partition, sub-partitions it by the next
-//! run of radix bits into a disjoint output range, and moves on.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+//! [`partition_slice_by`] is the sequential partitioner behind Cbase's
+//! recursive large-task splitting.
 
 use skewjoin_common::hash::RadixConfig;
-use skewjoin_common::histogram::{
-    exclusive_prefix_sum, histogram, per_worker_offsets, PartitionDirectory,
-};
-use skewjoin_common::{faults, JoinError, Tuple};
+use skewjoin_common::histogram::exclusive_prefix_sum;
+use skewjoin_common::{faults, Tuple};
 
-use crate::simd::{self, SimdLevel, SimdPolicy, HASH_BATCH};
-use crate::task::{run_to_completion, SchedStats, SchedulerKind, TaskQueue};
-use crate::util::{segment, SharedTupleSlice};
-
-/// A relation laid out in final-partition order plus its directory.
-#[derive(Debug, Clone)]
-pub struct PartitionedRelation {
-    /// Tuples, grouped contiguously by final partition.
-    pub data: Vec<Tuple>,
-    /// Partition boundaries over `data`, in *memory order* (see
-    /// [`memory_pid`]).
-    pub directory: PartitionDirectory,
-}
-
-impl PartitionedRelation {
-    /// Slice of partition `pid` (memory order).
-    #[inline]
-    pub fn partition(&self, pid: usize) -> &[Tuple] {
-        self.directory.slice(&self.data, pid)
-    }
-
-    /// Number of final partitions.
-    pub fn partitions(&self) -> usize {
-        self.directory.partitions()
-    }
-}
+use crate::simd::{self, SimdLevel, HASH_BATCH};
+use crate::util::SharedTupleSlice;
 
 /// Memory-order partition id of `key`: pass-0 index is most significant, so
 /// partitions produced by multi-pass refinement stay contiguous per parent.
@@ -78,211 +52,18 @@ pub enum ScatterMode {
 /// call overhead and give the copy loop whole-line bursts; 256 bytes per
 /// partition measured best on the zipf sweep (8-tuple lines consistently
 /// lost to direct stores, 32-tuple lines win from zipf 1.0 up).
-/// Configurable via [`PartitionOptions::wc_tuples`] /
-/// `CpuJoinConfig::wc_tuples`.
+/// Configurable via `CpuJoinConfig::wc_tuples`.
 pub const SWWC_TUPLES: usize = 32;
 
-/// Knobs for one partitioning run, usually derived from `CpuJoinConfig` via
-/// `CpuJoinConfig::partition_options`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionOptions {
-    /// Worker threads.
-    pub threads: usize,
-    /// First-pass scatter strategy.
-    pub mode: ScatterMode,
-    /// Tuples per write-combining buffer when `mode` is
-    /// [`ScatterMode::Buffered`] (power of two in `1..=64`).
-    pub wc_tuples: usize,
-    /// Scheduler driving the refinement passes.
-    pub scheduler: SchedulerKind,
-    /// Resolved SIMD level the scatter loops hash with.
-    pub simd: SimdLevel,
-}
-
-impl Default for PartitionOptions {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            mode: ScatterMode::default(),
-            wc_tuples: SWWC_TUPLES,
-            scheduler: SchedulerKind::default(),
-            simd: SimdPolicy::Auto.resolve(),
-        }
-    }
-}
-
-impl PartitionOptions {
-    /// Options with the given thread count and everything else default.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
-    }
-}
-
-/// What one partitioning run did beyond its output — scatter-buffer and
-/// scheduler activity, for the trace layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PartitionStats {
-    /// Write-combining lines flushed (0 under [`ScatterMode::Direct`]).
-    pub buffer_flushes: u64,
-    /// Refinement-pass scheduler activity.
-    pub sched: SchedStats,
-}
-
-impl PartitionStats {
-    /// Folds another run's stats into this one.
-    pub fn merge(&mut self, other: PartitionStats) {
-        self.buffer_flushes += other.buffer_flushes;
-        self.sched.merge(other.sched);
-    }
-}
-
-/// Partitions `tuples` with all passes of `cfg` using `threads` workers and
-/// direct stores.
-pub fn parallel_radix_partition(
-    tuples: &[Tuple],
-    cfg: &RadixConfig,
-    threads: usize,
-) -> Result<PartitionedRelation, JoinError> {
-    parallel_radix_partition_with(tuples, cfg, threads, ScatterMode::Direct)
-}
-
-/// Partitions `tuples` with all passes of `cfg` using `threads` workers and
-/// the chosen [`ScatterMode`] for the first pass.
-pub fn parallel_radix_partition_with(
-    tuples: &[Tuple],
-    cfg: &RadixConfig,
-    threads: usize,
-    mode: ScatterMode,
-) -> Result<PartitionedRelation, JoinError> {
-    let opts = PartitionOptions {
-        threads,
-        mode,
-        ..PartitionOptions::default()
-    };
-    Ok(parallel_radix_partition_opts(tuples, cfg, &opts)?.0)
-}
-
-/// Partitions `tuples` with all passes of `cfg` under the given
-/// [`PartitionOptions`], additionally reporting [`PartitionStats`].
-///
-/// The first pass uses the configured [`ScatterMode`]; later passes always
-/// use direct stores — their working set is one parent partition, already
-/// cache-resident.
-///
-/// A panic inside a scatter or refinement worker (organic or injected via
-/// the `cpu.partition.*` failpoints) is absorbed at the scope boundary and
-/// reported as [`JoinError::WorkerPanicked`]; the partially written output
-/// is discarded, never exposed.
-pub fn parallel_radix_partition_opts(
-    tuples: &[Tuple],
-    cfg: &RadixConfig,
-    opts: &PartitionOptions,
-) -> Result<(PartitionedRelation, PartitionStats), JoinError> {
-    let threads = opts.threads;
-    assert!(threads > 0, "need at least one thread");
-    assert!(
-        !cfg.bits_per_pass.is_empty(),
-        "radix config needs at least one pass"
-    );
-
-    // ---- Pass 0: segment-parallel count, prefix sum, scatter. ----
-    let mut hists = vec![Vec::new(); threads];
-    std::thread::scope(|scope| {
-        for (w, hist_slot) in hists.iter_mut().enumerate() {
-            let seg = segment(tuples.len(), threads, w);
-            let chunk = &tuples[seg];
-            scope.spawn(move || {
-                *hist_slot = histogram(chunk, cfg, 0);
-            });
-        }
-    });
-    let (offsets, starts) = per_worker_offsets(&hists);
-
-    let flushes = AtomicU64::new(0);
-    // First scatter worker that panicked, stored as `worker + 1` (0 = none).
-    let panicked = AtomicUsize::new(0);
-    // The per-worker cursor ranges from `per_worker_offsets` tile `0..n`
-    // exactly, and each worker writes its ranges in full — every output
-    // slot is written exactly once before anything reads it. The buffered
-    // scatter's bulk flushes already stake correctness on that invariant,
-    // so its path also skips zero-initialising the output it is about to
-    // overwrite (the direct path keeps the plain zeroed allocation).
-    let mut out: Vec<Tuple> = match opts.mode {
-        ScatterMode::Direct => vec![Tuple::default(); tuples.len()],
-        ScatterMode::Buffered => Vec::with_capacity(tuples.len()),
-    };
-    {
-        let shared = match opts.mode {
-            ScatterMode::Direct => SharedTupleSlice::new(&mut out),
-            ScatterMode::Buffered => SharedTupleSlice::from_uninit(out.spare_capacity_mut()),
-        };
-        let flushes = &flushes;
-        let panicked = &panicked;
-        std::thread::scope(|scope| {
-            for (w, cursors) in offsets.into_iter().enumerate() {
-                let seg = segment(tuples.len(), threads, w);
-                let chunk = &tuples[seg];
-                scope.spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| match opts.mode {
-                        ScatterMode::Direct => {
-                            scatter_direct(chunk, cfg, cursors, shared, opts.simd)
-                        }
-                        ScatterMode::Buffered => {
-                            let n = scatter_buffered(
-                                chunk,
-                                cfg,
-                                cursors,
-                                shared,
-                                opts.wc_tuples,
-                                opts.simd,
-                            );
-                            flushes.fetch_add(n, Ordering::Relaxed);
-                        }
-                    }));
-                    if outcome.is_err() {
-                        let _ = panicked.compare_exchange(
-                            0,
-                            w + 1,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                    }
-                });
-            }
-        });
-    }
-    if let Some(worker) = panicked.load(Ordering::Acquire).checked_sub(1) {
-        // A panicked worker may have left its cursor ranges partially
-        // written, so the output (uninitialised slots and all, in buffered
-        // mode) is dropped here without ever running `set_len`.
-        return Err(JoinError::WorkerPanicked {
-            worker,
-            phase: "partition".into(),
-        });
-    }
-    if opts.mode == ScatterMode::Buffered {
-        // SAFETY: the scatter scope above wrote all `tuples.len()` slots
-        // (cursor ranges tile the output; the scope join synchronises the
-        // writes), and no worker panicked part-way.
-        unsafe { out.set_len(tuples.len()) };
-    }
-
-    let (data, dir_starts, sched) =
-        refine_passes(out, starts, cfg, threads, 1, opts.scheduler, opts.simd)?;
-
-    Ok((
-        PartitionedRelation {
-            data,
-            directory: PartitionDirectory::new(dir_starts),
-        },
-        PartitionStats {
-            buffer_flushes: flushes.into_inner(),
-            sched,
-        },
-    ))
+/// Where a pass-0 scatter sends one tuple.
+pub(crate) enum Route {
+    /// The tuple's radix partition.
+    Radix,
+    /// An explicit bucket past the radix partitions (CSH's hot R runs).
+    Bucket(usize),
+    /// Nowhere: the router consumed the tuple (CSH's hot S tuples, whose
+    /// results are emitted instead of stored).
+    Consumed,
 }
 
 /// Hash parameters of radix pass `pass` for [`simd::hash_indices`].
@@ -295,14 +76,16 @@ pub(crate) fn pass_spec(cfg: &RadixConfig, pass: usize) -> (bool, u32, u32) {
     )
 }
 
-/// Direct per-tuple scatter for one worker's segment: partition indices are
-/// hashed a SIMD batch at a time, then the stores replay the batch.
+/// Direct per-tuple scatter of one segment: partition indices are hashed a
+/// SIMD batch at a time, then the stores replay the batch, each tuple going
+/// where `route` sends it.
 pub(crate) fn scatter_direct(
     chunk: &[Tuple],
     cfg: &RadixConfig,
     mut cursors: Vec<usize>,
     shared: SharedTupleSlice,
     level: SimdLevel,
+    mut route: impl FnMut(&Tuple) -> Route,
 ) {
     faults::maybe_panic("cpu.partition.scatter");
     let (mixed, shift, mask) = pass_spec(cfg, 0);
@@ -310,17 +93,23 @@ pub(crate) fn scatter_direct(
     for batch in chunk.chunks(HASH_BATCH) {
         simd::hash_indices(level, batch, mixed, shift, mask, &mut pids);
         for (t, &p) in batch.iter().zip(&pids) {
-            // SAFETY: cursors for (p, w) ranges are disjoint by construction
-            // of `per_worker_offsets`.
-            unsafe { shared.write(cursors[p as usize], *t) };
-            cursors[p as usize] += 1;
+            let b = match route(t) {
+                Route::Radix => p as usize,
+                Route::Bucket(b) => b,
+                Route::Consumed => continue,
+            };
+            // SAFETY: cursors for (bucket, segment) ranges are disjoint by
+            // construction of `per_worker_offsets`.
+            unsafe { shared.write(cursors[b], *t) };
+            cursors[b] += 1;
         }
     }
 }
 
 /// Software write-combining scatter: stage up to `wc_tuples` tuples per
-/// partition in a thread-local buffer; flush a full line at once. Returns
-/// the number of full-line flushes.
+/// bucket in a thread-local buffer; flush a full line at once. `route`
+/// decides each tuple's bucket as in [`scatter_direct`]. Returns the number
+/// of full-line flushes.
 pub(crate) fn scatter_buffered(
     chunk: &[Tuple],
     cfg: &RadixConfig,
@@ -328,6 +117,7 @@ pub(crate) fn scatter_buffered(
     shared: SharedTupleSlice,
     wc_tuples: usize,
     level: SimdLevel,
+    mut route: impl FnMut(&Tuple) -> Route,
 ) -> u64 {
     faults::maybe_panic("cpu.partition.scatter");
     let (mixed, shift, mask) = pass_spec(cfg, 0);
@@ -336,9 +126,19 @@ pub(crate) fn scatter_buffered(
     for batch in chunk.chunks(HASH_BATCH) {
         simd::hash_indices(level, batch, mixed, shift, mask, &mut pids);
         for (t, &p) in batch.iter().zip(&pids) {
-            // SAFETY: the staged writes land in this worker's private cursor
-            // ranges — same disjointness argument as the direct path.
-            unsafe { wc.stage(p as usize, *t, &mut cursors, shared) };
+            let b = match route(t) {
+                // `p <= mask < fanout(0) <= cursors.len()`.
+                Route::Radix => p as usize,
+                Route::Bucket(b) => {
+                    assert!(b < cursors.len(), "bucket {b} out of range");
+                    b
+                }
+                Route::Consumed => continue,
+            };
+            // SAFETY: `b` is in range (see the match) and the staged writes
+            // land in this segment's private cursor ranges — same
+            // disjointness argument as the direct path.
+            unsafe { wc.stage(b, *t, &mut cursors, shared) };
         }
     }
     // SAFETY: as above.
@@ -346,12 +146,12 @@ pub(crate) fn scatter_buffered(
     wc.flushes()
 }
 
-/// One thread's software write-combining buffers: a cache-line-sized
-/// staging area per partition. Shared between the pass-0 scatter here and
-/// CSH's skew-aware partitioning, which interleaves staged normal tuples
-/// with inline skew handling and must flush remainders before its scope
-/// joins.
-pub(crate) struct WriteCombiner {
+/// One segment's software write-combining buffers: a cache-line-sized
+/// staging area per bucket. A hot S tuple consumed by CSH's router never
+/// enters them, so staged cold tuples may sit across its result emission;
+/// what matters is the remainder flush before the Scatter task counts
+/// itself done, because the next stage reads the buckets right after.
+struct WriteCombiner {
     line: usize,
     /// `fanout × line` staging slots, flat.
     buffers: Vec<Tuple>,
@@ -361,7 +161,7 @@ pub(crate) struct WriteCombiner {
 
 impl WriteCombiner {
     /// Staging buffers for `fanout` partitions, `line` tuples each.
-    pub(crate) fn new(fanout: usize, line: usize) -> Self {
+    fn new(fanout: usize, line: usize) -> Self {
         assert!(
             line.is_power_of_two() && (1..=64).contains(&line),
             "write-combining line must be a power of two in 1..=64, got {line}"
@@ -386,7 +186,7 @@ impl WriteCombiner {
     /// guarantee `cursors[p] .. cursors[p] + pending` stays a range written
     /// by this thread only (see [`SharedTupleSlice::write`]).
     #[inline]
-    pub(crate) unsafe fn stage(
+    unsafe fn stage(
         &mut self,
         p: usize,
         t: Tuple,
@@ -415,11 +215,11 @@ impl WriteCombiner {
     }
 
     /// Flushes every partial line. Must run before the cursors' target
-    /// ranges are read (e.g. before the partitioning scope joins).
+    /// ranges are read (before the Scatter task counts itself done).
     ///
     /// # Safety
     /// Same contract as [`WriteCombiner::stage`].
-    pub(crate) unsafe fn flush_all(&mut self, cursors: &mut [usize], shared: SharedTupleSlice) {
+    unsafe fn flush_all(&mut self, cursors: &mut [usize], shared: SharedTupleSlice) {
         faults::maybe_panic("cpu.partition.flush");
         for (p, fill) in self.fill.iter_mut().enumerate() {
             let n = *fill as usize;
@@ -437,80 +237,9 @@ impl WriteCombiner {
 
     /// Full-line flushes so far (partial `flush_all` lines not counted:
     /// they are forced, not combining wins).
-    pub(crate) fn flushes(&self) -> u64 {
+    fn flushes(&self) -> u64 {
         self.flushes
     }
-}
-
-/// Applies radix passes `from_pass..` to an already partially partitioned
-/// buffer: each existing partition (delimited by `dir_starts`) is
-/// independently sub-partitioned, task-queue parallel. Returns the new
-/// buffer, directory starts, and scheduler activity. Used by both `Cbase`'s
-/// pass 2 and `CSH`'s refinement of normal partitions. A panicking
-/// refinement worker poisons the queue and surfaces here as
-/// [`JoinError::WorkerPanicked`].
-pub(crate) fn refine_passes(
-    mut data: Vec<Tuple>,
-    mut dir_starts: Vec<usize>,
-    cfg: &RadixConfig,
-    threads: usize,
-    from_pass: usize,
-    scheduler: SchedulerKind,
-    level: SimdLevel,
-) -> Result<(Vec<Tuple>, Vec<usize>, SchedStats), JoinError> {
-    let mut sched = SchedStats::default();
-    for pass in from_pass..cfg.bits_per_pass.len() {
-        let fanout = cfg.fanout(pass);
-        let parents = dir_starts.len() - 1;
-        let mut next = vec![Tuple::default(); data.len()];
-        let mut child_starts = vec![0usize; parents * fanout + 1];
-
-        {
-            let shared = SharedTupleSlice::new(&mut next);
-            // Child start offsets are written by the owning task only.
-            let child_ptr = SharedUsizeSlice::new(&mut child_starts);
-            let data_ref = &data;
-            let dir_ref = &dir_starts;
-            let (mixed, shift, mask) = pass_spec(cfg, pass);
-            let queue = TaskQueue::seeded(scheduler, 0..parents);
-            let run = run_to_completion(&queue, threads.min(parents.max(1)), |worker| {
-                let mut pids = [0u32; HASH_BATCH];
-                worker.run(|parent: usize, _w| {
-                    let base = dir_ref[parent];
-                    let slice = &data_ref[base..dir_ref[parent + 1]];
-                    let mut hist = histogram(slice, cfg, pass);
-                    exclusive_prefix_sum(&mut hist);
-                    for (j, h) in hist.iter().enumerate() {
-                        // SAFETY: each (parent, j) slot written once.
-                        unsafe { child_ptr.write(parent * fanout + j, base + h) };
-                    }
-                    let mut cursors = hist;
-                    for batch in slice.chunks(HASH_BATCH) {
-                        simd::hash_indices(level, batch, mixed, shift, mask, &mut pids);
-                        for (t, &p) in batch.iter().zip(&pids) {
-                            // SAFETY: parents own disjoint [base, end) ranges.
-                            unsafe { shared.write(base + cursors[p as usize], *t) };
-                            cursors[p as usize] += 1;
-                        }
-                    }
-                });
-            });
-            match run {
-                Ok(stats) => sched.merge(stats),
-                Err(worker) => {
-                    return Err(JoinError::WorkerPanicked {
-                        worker,
-                        phase: "partition".into(),
-                    })
-                }
-            }
-        }
-
-        *child_starts.last_mut().expect("non-empty") = data.len();
-        data = next;
-        dir_starts = child_starts;
-    }
-    Ok((data, dir_starts, sched))
 }
 
 /// Sequentially partitions a slice by an arbitrary key→partition function —
@@ -540,9 +269,8 @@ pub fn partition_slice_by<F: Fn(u32) -> usize>(
 }
 
 /// Raw shared view over a `usize` slice for disjoint parallel writes
-/// (mirrors [`SharedTupleSlice`]; see its safety contract). Shared with the
-/// morsel pipeline, whose refine tasks publish child partition boundaries
-/// through it.
+/// (mirrors [`SharedTupleSlice`]; see its safety contract). The morsel
+/// pipeline's Refine tasks publish child partition boundaries through it.
 #[derive(Clone, Copy)]
 pub(crate) struct SharedUsizeSlice {
     ptr: *mut usize,
@@ -581,27 +309,19 @@ impl SharedUsizeSlice {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use skewjoin_common::hash::RadixMode;
-    use skewjoin_common::Relation;
+    //! The pass-0 kernels run inside the morsel pipeline, so partitioning
+    //! is checked on the layout a pipeline run leaves behind.
 
-    fn check_partitioning(tuples: &[Tuple], cfg: &RadixConfig, threads: usize) {
-        let parted = parallel_radix_partition(tuples, cfg, threads).expect("partition failed");
-        // Same multiset.
-        assert_eq!(parted.data.len(), tuples.len());
-        let mut orig: Vec<Tuple> = tuples.to_vec();
-        let mut got = parted.data.clone();
-        orig.sort_unstable_by_key(|t| (t.key, t.payload));
-        got.sort_unstable_by_key(|t| (t.key, t.payload));
-        assert_eq!(orig, got);
-        // Every tuple in its memory_pid partition.
-        for pid in 0..parted.partitions() {
-            for t in parted.partition(pid) {
-                assert_eq!(memory_pid(cfg, t.key), pid);
-            }
-        }
-        assert_eq!(parted.partitions(), cfg.total_fanout());
-    }
+    use super::*;
+    use crate::config::CpuJoinConfig;
+    use crate::morsel::tests::{partition_layout, Layout};
+    use crate::morsel::Flavor;
+    use crate::simd::SimdPolicy;
+    use crate::skew::{SkewCheckupTable, SkewedKey};
+    use crate::task::SchedulerKind;
+    use skewjoin_common::hash::RadixMode;
+    use skewjoin_common::trace::counter;
+    use skewjoin_common::{CountingSink, Relation};
 
     fn test_relation(n: usize) -> Relation {
         Relation::from_tuples(
@@ -609,6 +329,41 @@ mod tests {
                 .map(|i| Tuple::new((i as u32).wrapping_mul(2654435761) % 97, i as u32))
                 .collect(),
         )
+    }
+
+    /// Small morsels, so even the short test inputs span several segments.
+    fn config(radix: RadixConfig, threads: usize) -> CpuJoinConfig {
+        CpuJoinConfig {
+            radix,
+            morsel_tuples: 256,
+            ..CpuJoinConfig::with_threads(threads)
+        }
+    }
+
+    /// Partitions `tuples` as both sides of a Cbase pipeline run.
+    fn layout(tuples: &[Tuple], cfg: &CpuJoinConfig) -> Layout {
+        let rel = Relation::from_tuples(tuples.to_vec());
+        partition_layout(&rel, &rel, cfg, Flavor::Cbase)
+    }
+
+    fn sorted(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
+        tuples.sort_unstable_by_key(|t| (t.key, t.payload));
+        tuples
+    }
+
+    fn check_partitioning(tuples: &[Tuple], radix: &RadixConfig, threads: usize) {
+        let out = layout(tuples, &config(radix.clone(), threads));
+        for parts in &out.parts {
+            // Same multiset.
+            assert_eq!(sorted(parts.concat()), sorted(tuples.to_vec()));
+            // Every tuple in its memory_pid partition.
+            for (pid, part) in parts.iter().enumerate() {
+                for t in part {
+                    assert_eq!(memory_pid(radix, t.key), pid);
+                }
+            }
+            assert_eq!(parts.len(), radix.total_fanout());
+        }
     }
 
     #[test]
@@ -620,7 +375,13 @@ mod tests {
     #[test]
     fn two_pass_partitioning() {
         let r = test_relation(5000);
-        check_partitioning(&r, &RadixConfig::two_pass(8), 4);
+        for mode in [RadixMode::Mixed, RadixMode::Raw] {
+            let cfg = RadixConfig {
+                mode,
+                ..RadixConfig::two_pass(8)
+            };
+            check_partitioning(&r, &cfg, 4);
+        }
     }
 
     #[test]
@@ -648,39 +409,29 @@ mod tests {
 
     #[test]
     fn single_thread_matches_parallel() {
+        // Segments follow `morsel_tuples`, not the thread count, so the
+        // layout is byte-identical whoever runs which morsel.
         let r = test_relation(2000);
-        let cfg = RadixConfig::two_pass(6);
-        let a = parallel_radix_partition(&r, &cfg, 1).expect("partition failed");
-        let b = parallel_radix_partition(&r, &cfg, 8).expect("partition failed");
-        assert_eq!(a.directory.starts(), b.directory.starts());
-        // Partition contents may be ordered differently across thread counts
-        // within a partition; compare as multisets per partition.
-        for pid in 0..a.partitions() {
-            let mut x = a.partition(pid).to_vec();
-            let mut y = b.partition(pid).to_vec();
-            x.sort_unstable_by_key(|t| (t.key, t.payload));
-            y.sort_unstable_by_key(|t| (t.key, t.payload));
-            assert_eq!(x, y);
-        }
+        let radix = RadixConfig::two_pass(6);
+        let a = layout(&r, &config(radix.clone(), 1));
+        let b = layout(&r, &config(radix, 8));
+        assert_eq!(a.parts, b.parts);
     }
 
     #[test]
     fn buffered_scatter_matches_direct() {
         let r = test_relation(7777);
         for bits in [4u32, 8] {
-            let cfg = RadixConfig::two_pass(bits);
-            let direct =
-                parallel_radix_partition_with(&r, &cfg, 3, ScatterMode::Direct).expect("direct");
-            let buffered = parallel_radix_partition_with(&r, &cfg, 3, ScatterMode::Buffered)
-                .expect("buffered");
-            assert_eq!(direct.directory.starts(), buffered.directory.starts());
-            for pid in 0..direct.partitions() {
-                let mut a = direct.partition(pid).to_vec();
-                let mut b = buffered.partition(pid).to_vec();
-                a.sort_unstable_by_key(|t| (t.key, t.payload));
-                b.sort_unstable_by_key(|t| (t.key, t.payload));
-                assert_eq!(a, b, "partition {pid} bits {bits}");
-            }
+            let direct = config(RadixConfig::two_pass(bits), 3);
+            let buffered = CpuJoinConfig {
+                scatter: ScatterMode::Buffered,
+                ..direct.clone()
+            };
+            assert_eq!(
+                layout(&r, &direct).parts,
+                layout(&r, &buffered).parts,
+                "bits {bits}"
+            );
         }
     }
 
@@ -689,42 +440,32 @@ mod tests {
         // Sizes that leave partial SWWC buffers at every partition.
         for n in [1usize, 7, 9, 63, 65] {
             let r = test_relation(n);
-            let cfg = RadixConfig::single_pass(3);
-            let parted = parallel_radix_partition_with(&r, &cfg, 2, ScatterMode::Buffered)
-                .expect("buffered");
-            assert_eq!(parted.data.len(), n);
-            let mut got = parted.data.clone();
-            let mut orig = r.tuples().to_vec();
-            got.sort_unstable_by_key(|t| (t.key, t.payload));
-            orig.sort_unstable_by_key(|t| (t.key, t.payload));
-            assert_eq!(got, orig, "n={n}");
+            let cfg = CpuJoinConfig {
+                scatter: ScatterMode::Buffered,
+                ..config(RadixConfig::single_pass(3), 2)
+            };
+            for parts in layout(&r, &cfg).parts {
+                assert_eq!(sorted(parts.concat()), sorted(r.tuples().to_vec()), "n={n}");
+            }
         }
     }
 
     #[test]
     fn wc_line_sizes_all_agree() {
         let r = test_relation(4321);
-        let cfg = RadixConfig::two_pass(6);
-        let direct = parallel_radix_partition(&r, &cfg, 2).expect("direct");
+        let direct = config(RadixConfig::two_pass(6), 2);
+        let expected = layout(&r, &direct);
         for line in [1usize, 2, 16, 64] {
-            let opts = PartitionOptions {
-                threads: 2,
-                mode: ScatterMode::Buffered,
+            let cfg = CpuJoinConfig {
+                scatter: ScatterMode::Buffered,
                 wc_tuples: line,
-                ..PartitionOptions::default()
+                ..direct.clone()
             };
-            let (parted, stats) = parallel_radix_partition_opts(&r, &cfg, &opts).expect("opts");
-            assert_eq!(direct.directory.starts(), parted.directory.starts());
-            for pid in 0..direct.partitions() {
-                let mut a = direct.partition(pid).to_vec();
-                let mut b = parted.partition(pid).to_vec();
-                a.sort_unstable_by_key(|t| (t.key, t.payload));
-                b.sort_unstable_by_key(|t| (t.key, t.payload));
-                assert_eq!(a, b, "partition {pid} line {line}");
-            }
+            let got = layout(&r, &cfg);
+            assert_eq!(expected.parts, got.parts, "line {line}");
             if line == 1 {
-                // Every tuple is its own full line.
-                assert_eq!(stats.buffer_flushes, r.tuples().len() as u64);
+                // Every tuple of both sides is its own full line.
+                assert_eq!(got.flushes, 2 * r.len() as u64);
             }
         }
     }
@@ -732,40 +473,41 @@ mod tests {
     #[test]
     fn partition_stats_report_flushes_and_scheduler() {
         let r = test_relation(4096);
-        let cfg = RadixConfig::two_pass(8);
-        let opts = PartitionOptions {
-            threads: 3,
-            mode: ScatterMode::Buffered,
-            ..PartitionOptions::default()
+        let run = |scatter| {
+            // Segments of 2 Ki tuples over 16 pass-0 partitions: enough
+            // tuples per partition to fill 32-tuple lines.
+            let cfg = CpuJoinConfig {
+                scatter,
+                morsel_tuples: 2048,
+                ..config(RadixConfig::two_pass(8), 3)
+            };
+            crate::cbase_join(&r, &r, &cfg, |_| CountingSink::new())
+                .expect("join")
+                .stats
         };
-        let (_, stats) = parallel_radix_partition_opts(&r, &cfg, &opts).expect("opts");
-        assert!(stats.buffer_flushes > 0);
+        let buffered = run(ScatterMode::Buffered);
+        assert!(buffered.trace.get("partition", counter::BUFFER_FLUSHES) > Some(0));
+        assert!(buffered.trace.get("join", counter::TASKS_STOLEN).is_some());
         // Direct mode never flushes.
-        let direct = PartitionOptions {
-            mode: ScatterMode::Direct,
-            ..opts
-        };
-        let (_, stats) = parallel_radix_partition_opts(&r, &cfg, &direct).expect("opts");
-        assert_eq!(stats.buffer_flushes, 0);
+        let direct = run(ScatterMode::Direct);
+        assert_eq!(
+            direct.trace.get("partition", counter::BUFFER_FLUSHES),
+            Some(0)
+        );
     }
 
     #[test]
     fn mutex_scheduler_matches_work_stealing() {
         let r = test_relation(3000);
-        let cfg = RadixConfig::two_pass(8);
-        let ws = PartitionOptions {
-            threads: 4,
+        let ws = CpuJoinConfig {
             scheduler: SchedulerKind::WorkStealing,
-            ..PartitionOptions::default()
+            ..config(RadixConfig::two_pass(8), 4)
         };
-        let mx = PartitionOptions {
+        let mx = CpuJoinConfig {
             scheduler: SchedulerKind::Mutex,
-            ..ws
+            ..ws.clone()
         };
-        let (a, _) = parallel_radix_partition_opts(&r, &cfg, &ws).expect("ws");
-        let (b, _) = parallel_radix_partition_opts(&r, &cfg, &mx).expect("mx");
-        assert_eq!(a.directory.starts(), b.directory.starts());
-        assert_eq!(a.data, b.data); // refinement writes are deterministic
+        assert_eq!(layout(&r, &ws).parts, layout(&r, &mx).parts);
     }
 
     #[test]
@@ -774,22 +516,29 @@ mod tests {
         // whatever lane width computed the partition indices.
         let r = test_relation(6001); // odd size: exercises every tail path
         for bits in [3u32, 9] {
-            let cfg = RadixConfig::two_pass(bits);
-            for mode in [ScatterMode::Direct, ScatterMode::Buffered] {
-                let scalar = PartitionOptions {
-                    threads: 3,
-                    mode,
-                    simd: SimdLevel::Scalar,
-                    ..PartitionOptions::default()
-                };
-                let auto = PartitionOptions {
-                    simd: SimdPolicy::Auto.resolve(),
-                    ..scalar
-                };
-                let (a, _) = parallel_radix_partition_opts(&r, &cfg, &scalar).expect("scalar");
-                let (b, _) = parallel_radix_partition_opts(&r, &cfg, &auto).expect("auto");
-                assert_eq!(a.directory.starts(), b.directory.starts());
-                assert_eq!(a.data, b.data, "bits {bits} mode {mode:?}");
+            for mode in [RadixMode::Mixed, RadixMode::Raw] {
+                for scatter in [ScatterMode::Direct, ScatterMode::Buffered] {
+                    let scalar = CpuJoinConfig {
+                        scatter,
+                        simd: SimdPolicy::Scalar,
+                        ..config(
+                            RadixConfig {
+                                mode,
+                                ..RadixConfig::two_pass(bits)
+                            },
+                            3,
+                        )
+                    };
+                    let auto = CpuJoinConfig {
+                        simd: SimdPolicy::Auto,
+                        ..scalar.clone()
+                    };
+                    assert_eq!(
+                        layout(&r, &scalar).parts,
+                        layout(&r, &auto).parts,
+                        "bits {bits} mode {mode:?} scatter {scatter:?}"
+                    );
+                }
             }
         }
     }
@@ -798,12 +547,62 @@ mod tests {
     fn skewed_keys_stay_together() {
         // All tuples share one key → exactly one non-empty partition.
         let tuples: Vec<Tuple> = (0..500).map(|i| Tuple::new(7, i)).collect();
-        let cfg = RadixConfig::two_pass(8);
-        let parted = parallel_radix_partition(&tuples, &cfg, 4).expect("partition failed");
-        let non_empty = (0..parted.partitions())
-            .filter(|&p| !parted.partition(p).is_empty())
-            .count();
-        assert_eq!(non_empty, 1);
+        let out = layout(&tuples, &config(RadixConfig::two_pass(8), 4));
+        for parts in out.parts {
+            assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 1);
+        }
+    }
+
+    #[test]
+    fn hot_keys_leave_the_radix_partitions() {
+        // CSH's router hook: hot R tuples form one contiguous run per key,
+        // in input order; hot S tuples are consumed, never stored; cold
+        // tuples keep their memory-order partitions on both sides.
+        let hot_keys = [7u32, 11];
+        let tuples: Vec<Tuple> = (0..3000u32)
+            .map(|i| {
+                Tuple::new(
+                    if i % 3 == 0 {
+                        hot_keys[(i % 2) as usize]
+                    } else {
+                        i
+                    },
+                    i,
+                )
+            })
+            .collect();
+        let rel = Relation::from_tuples(tuples.clone());
+        let skewed: Vec<SkewedKey> = hot_keys
+            .iter()
+            .map(|&key| SkewedKey {
+                key,
+                sample_freq: 2,
+            })
+            .collect();
+        let table = SkewCheckupTable::build(&skewed);
+        for scatter in [ScatterMode::Direct, ScatterMode::Buffered] {
+            let cfg = CpuJoinConfig {
+                scatter,
+                ..config(RadixConfig::two_pass(6), 3)
+            };
+            let out = partition_layout(&rel, &rel, &cfg, Flavor::Csh(&table));
+            let cold: Vec<Tuple> = tuples
+                .iter()
+                .copied()
+                .filter(|t| !hot_keys.contains(&t.key))
+                .collect();
+            for parts in &out.parts {
+                assert_eq!(sorted(parts.concat()), sorted(cold.clone()));
+                for (pid, part) in parts.iter().enumerate() {
+                    assert!(part.iter().all(|t| memory_pid(&cfg.radix, t.key) == pid));
+                }
+            }
+            for (run, &key) in out.hot_runs.iter().zip(&hot_keys) {
+                let expected: Vec<Tuple> =
+                    tuples.iter().copied().filter(|t| t.key == key).collect();
+                assert_eq!(run, &expected, "key {key} scatter {scatter:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@ use skewjoin_common::Tuple;
 ///
 /// # Safety contract
 /// Callers must guarantee that no index is written by more than one thread
-/// and that no reads occur until all writers have finished (enforced
-/// structurally: the scatter happens inside a `std::thread::scope`, and the
-/// buffer is only read after the scope joins).
+/// and that no reads occur until all writers have finished. The morsel
+/// pipeline enforces the second half with its completion countdowns and
+/// gates: a range is read only by tasks spawned after every task writing
+/// it counted itself done.
 #[derive(Clone, Copy)]
 pub struct SharedTupleSlice {
     ptr: *mut Tuple,
@@ -28,19 +29,6 @@ impl SharedTupleSlice {
     pub fn new(slice: &mut [Tuple]) -> Self {
         Self {
             ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-        }
-    }
-
-    /// Wraps a spare-capacity slice for disjoint parallel writes, letting
-    /// the caller skip zero-initialising an output it will fully overwrite.
-    /// Writes go through raw pointers, so no reference to uninitialised
-    /// `Tuple`s is ever materialised; the caller `set_len`s the vector only
-    /// after every slot has been written (same exactly-once contract as
-    /// [`SharedTupleSlice::new`]).
-    pub fn from_uninit(slice: &mut [std::mem::MaybeUninit<Tuple>]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr().cast::<Tuple>(),
             len: slice.len(),
         }
     }

@@ -10,6 +10,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use skewjoin::common::faults::{self, Schedule};
+use skewjoin::common::{CancelToken, CountingSink};
 use skewjoin::prelude::*;
 
 /// Serializes all tests in this binary: armed failpoints are visible to
@@ -100,6 +101,79 @@ fn panicking_sink_mid_emit_is_worker_panicked_on_every_cpu_algorithm() {
             }
             other => panic!("{algo:?}: expected WorkerPanicked, got {other:?}"),
         }
+    }
+}
+
+/// A sink that only misbehaves on CSH's hot-key fast path: `emit_r_run`
+/// panics or cancels the join's token, while plain `emit` counts.
+struct HotRunSink {
+    inner: CountingSink,
+    cancel: Option<CancelToken>,
+}
+
+impl OutputSink for HotRunSink {
+    fn emit(&mut self, key: Key, r: Payload, s: Payload) {
+        self.inner.emit(key, r, s);
+    }
+
+    fn emit_r_run(&mut self, key: Key, r_tuples: &[Tuple], s_payload: Payload) {
+        match &self.cancel {
+            None => panic!("sink exploded mid hot-run emission"),
+            Some(token) => {
+                token.cancel();
+                for r in r_tuples {
+                    self.inner.emit(key, r.payload, s_payload);
+                }
+            }
+        }
+    }
+
+    fn count(&self) -> u64 {
+        self.inner.count()
+    }
+
+    fn checksum(&self) -> u64 {
+        self.inner.checksum()
+    }
+}
+
+/// Runs CSH on a heavily skewed workload with [`HotRunSink`]s under the
+/// watchdog; `cancel` selects the cancelling sink over the panicking one.
+fn csh_with_hot_run_sink(cancel: bool) -> JoinError {
+    let w = workload(1.0, 5);
+    let token = CancelToken::new();
+    let mut cfg = cpu_cfg();
+    cfg.cpu.cancel = token.clone();
+    with_deadline(60, move || {
+        skewjoin::run_join_with(
+            Algorithm::Cpu(CpuAlgorithm::Csh),
+            &w.r,
+            &w.s,
+            &cfg,
+            |_worker: usize| HotRunSink {
+                inner: CountingSink::new(),
+                cancel: cancel.then(|| token.clone()),
+            },
+        )
+        .unwrap_err()
+    })
+}
+
+#[test]
+fn sink_panic_during_hot_s_emission_is_worker_panicked_in_partition_s() {
+    let _guard = lock();
+    match csh_with_hot_run_sink(false) {
+        JoinError::WorkerPanicked { phase, .. } => assert_eq!(phase, "partition_s"),
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+}
+
+#[test]
+fn cancel_during_hot_s_emission_is_cancelled_in_partition_s() {
+    let _guard = lock();
+    match csh_with_hot_run_sink(true) {
+        JoinError::Cancelled { phase } => assert_eq!(phase, "partition_s"),
+        other => panic!("expected Cancelled, got {other:?}"),
     }
 }
 
