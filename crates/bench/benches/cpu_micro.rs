@@ -8,9 +8,9 @@ use skewjoin::common::hash::RadixConfig;
 use skewjoin::common::CountingSink;
 use skewjoin::cpu::hashtable::ChainedTable;
 use skewjoin::cpu::skew::detect_skewed_keys;
-use skewjoin::cpu::{cbase_join, csh_join, ScatterMode};
+use skewjoin::cpu::{cbase_join, csh_join};
 use skewjoin::prelude::*;
-use skewjoin_bench::micro::{bench, black_box, compare, group};
+use skewjoin_bench::micro::{bench, black_box, group};
 
 const N: usize = 1 << 18;
 
@@ -89,37 +89,6 @@ fn bench_skew_detection() {
     });
 }
 
-fn bench_scatter_modes() {
-    group("scatter_mode");
-    let w = PaperWorkload::generate(WorkloadSpec::paper(N, 0.0, 5));
-    let cfg = RadixConfig::two_pass(12);
-    // An A/B comparison, so interleave the reps — timing "direct" as one
-    // block and "buffered" as the next charged whichever ran second with a
-    // warmed cache and a different noise window.
-    compare(
-        "scatter",
-        5,
-        [
-            ("direct", ScatterMode::Direct),
-            ("buffered", ScatterMode::Buffered),
-        ]
-        .into_iter()
-        .map(|(name, mode)| {
-            let r = &w.r;
-            let cfg = CpuJoinConfig {
-                radix: cfg.clone(),
-                scatter: mode,
-                ..CpuJoinConfig::with_threads(4)
-            };
-            let f: Box<dyn FnMut()> = Box::new(move || {
-                partition(black_box(r), &cfg);
-            });
-            (name, f)
-        })
-        .collect(),
-    );
-}
-
 fn bench_full_joins() {
     group("cpu_join");
     for &zipf in &[0.25f64, 0.9] {
@@ -137,6 +106,5 @@ fn main() {
     bench_partitioning();
     bench_hash_table();
     bench_skew_detection();
-    bench_scatter_modes();
     bench_full_joins();
 }

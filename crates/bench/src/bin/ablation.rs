@@ -8,15 +8,13 @@
 //! 4. **Cbase split factor** — how much the baseline's partition-splitting
 //!    skew handling helps before the single-key wall.
 //! 5. **Radix fan-out** — partition/join balance.
-//! 6. **Scatter mode** — direct stores vs. software write-combining.
-//! 7. **Gbase bucket capacity** — allocation granularity of its dynamic
+//! 6. **Gbase bucket capacity** — allocation granularity of its dynamic
 //!    partitioning.
 
 #![allow(clippy::field_reassign_with_default)]
 
 use std::time::Duration;
 
-use skewjoin::cpu::partition::ScatterMode;
 use skewjoin::cpu::SkewDetectorKind;
 use skewjoin::prelude::*;
 use skewjoin_bench::{fmt_time, BenchArgs, BenchRecord};
@@ -51,7 +49,6 @@ fn main() {
     let mut record = BenchRecord::new("ablation", &args);
     let hot = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, 1.0, args.seed));
     let warm = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, 0.8, args.seed));
-    let flat = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, 0.0, args.seed));
 
     // ---- 1. CSH sample rate (zipf 1.0). ----
     println!("[1] CSH sample rate @ zipf 1.0 ({} tuples)", args.tuples);
@@ -161,34 +158,9 @@ fn main() {
         record.push(&format!("cbase_bits_{bits}"), 0.5, s.total_time());
     }
 
-    // ---- 6. Scatter mode (uniform data, partition-dominated). ----
-    // A/B comparison: interleave the reps (direct, buffered, direct, …)
-    // and keep each mode's best, so cache warmup and machine-noise
-    // windows hit both modes instead of whichever ran second.
-    println!("\n[6] Cbase scatter mode @ zipf 0.0");
-    println!("{:>10} {:>12}", "mode", "partition");
-    let modes = [
-        ("direct", ScatterMode::Direct),
-        ("buffered", ScatterMode::Buffered),
-    ];
-    let mut best = [Duration::MAX; 2];
-    for rep in 0..3 {
-        for i in 0..modes.len() {
-            let mi = (rep + i) % modes.len();
-            let mut cfg = cpu_cfg(&args);
-            cfg.scatter = modes[mi].1;
-            let s = run_cpu(CpuAlgorithm::Cbase, &flat, &cfg);
-            best[mi] = best[mi].min(s.phases.get("partition"));
-        }
-    }
-    for ((name, _), d) in modes.iter().zip(best) {
-        println!("{:>10} {:>12}", name, fmt_time(d));
-        record.push(&format!("scatter_{name}"), 0.0, d);
-    }
-
-    // ---- 7. Gbase bucket capacity (zipf 0.5, simulated). ----
+    // ---- 6. Gbase bucket capacity (zipf 0.5, simulated). ----
     let gmid = PaperWorkload::generate(WorkloadSpec::paper(args.gpu_tuples, 0.5, args.seed));
-    println!("\n[7] Gbase bucket capacity @ zipf 0.5 (simulated)");
+    println!("\n[6] Gbase bucket capacity @ zipf 0.5 (simulated)");
     println!("{:>10} {:>12}", "capacity", "partition");
     for cap in [128usize, 512, 2048] {
         let mut cfg = GpuJoinConfig::default();

@@ -1,6 +1,7 @@
-//! Scheduler/scatter micro-benchmark: the mutex task queue with direct
-//! scatter (the pre-redesign configuration) against the work-stealing
-//! scheduler with software write-combining buffers, swept over zipf 0–1.5.
+//! Scheduler micro-benchmark: the mutex task queue (the pre-redesign
+//! scheduler, kept as the deque's reference) against the work-stealing
+//! scheduler, both driving the same direct-store scatter, swept over
+//! zipf 0–1.5.
 //!
 //! Two groups of series land in the BENCH JSON:
 //!
@@ -29,7 +30,7 @@ use std::time::Duration;
 use skewjoin::common::hash::{RadixConfig, RadixMode};
 use skewjoin::common::trace::counter;
 use skewjoin::common::CountingSink;
-use skewjoin::cpu::{cbase_join, ScatterMode, SchedulerKind};
+use skewjoin::cpu::{cbase_join, SchedulerKind};
 use skewjoin::prelude::*;
 use skewjoin_bench::{fmt_time, BenchArgs, BenchRecord};
 
@@ -41,25 +42,22 @@ const JOIN_REPS: usize = 3;
 struct Variant {
     label: &'static str,
     scheduler: SchedulerKind,
-    scatter: ScatterMode,
 }
 
 const VARIANTS: [Variant; 2] = [
     Variant {
         label: "mutex",
         scheduler: SchedulerKind::Mutex,
-        scatter: ScatterMode::Direct,
     },
     Variant {
-        label: "ws+wc",
+        label: "ws",
         scheduler: SchedulerKind::WorkStealing,
-        scatter: ScatterMode::Buffered,
     },
 ];
 
 /// A 2048-way first pass: the scatter touches far more destination pages
-/// than a dTLB holds (where write-combining pays off) and hands the
-/// pipeline 2048 Refine tasks (where per-task dispatch cost shows).
+/// than a dTLB holds, and the pipeline gets 2048 Refine tasks, which is
+/// where per-task dispatch cost shows.
 fn wide_radix() -> RadixConfig {
     RadixConfig {
         bits_per_pass: vec![11, 4],
@@ -89,7 +87,7 @@ fn bench_partition_only(args: &BenchArgs, record: &mut BenchRecord) {
     );
     println!(
         "{:>6} | {:>11} {:>11} {:>8}",
-        "zipf", "mutex", "ws+wc", "speedup"
+        "zipf", "mutex", "ws", "speedup"
     );
     let radix = wide_radix();
     for zipf in zipf_sweep() {
@@ -105,7 +103,6 @@ fn bench_partition_only(args: &BenchArgs, record: &mut BenchRecord) {
                     threads: args.threads,
                     radix: radix.clone(),
                     scheduler: v.scheduler,
-                    scatter: v.scatter,
                     ..CpuJoinConfig::default()
                 };
                 let outcome = cbase_join(&w.r, &empty, &cfg, |_| CountingSink::new())
@@ -141,7 +138,7 @@ fn bench_full_joins(args: &BenchArgs, record: &mut BenchRecord) {
     );
     println!(
         "{:>6} {:>10} | {:>11} {:>11} {:>8} | {:>11} {:>11} {:>8}",
-        "zipf", "algo", "part mutex", "part ws+wc", "speedup", "tot mutex", "tot ws+wc", "speedup"
+        "zipf", "algo", "part mutex", "part ws", "speedup", "tot mutex", "tot ws", "speedup"
     );
     let base = CpuJoinConfig {
         threads: args.threads,
@@ -157,7 +154,6 @@ fn bench_full_joins(args: &BenchArgs, record: &mut BenchRecord) {
                 for (vi, v) in VARIANTS.iter().enumerate() {
                     let cfg = JoinConfig::from(CpuJoinConfig {
                         scheduler: v.scheduler,
-                        scatter: v.scatter,
                         ..base.clone()
                     });
                     let stats = skewjoin::run_join(algo.into(), &w.r, &w.s, &cfg, SinkSpec::Count)
@@ -217,7 +213,7 @@ fn main() {
         ..BenchArgs::default()
     });
     let mut record = BenchRecord::new("sched_micro", &args);
-    println!("Scheduler micro-benchmark — mutex+direct vs work-stealing+write-combining");
+    println!("Scheduler micro-benchmark — mutex vs work-stealing, both on direct scatter");
     bench_partition_only(&args, &mut record);
     bench_full_joins(&args, &mut record);
     record.write(&args);

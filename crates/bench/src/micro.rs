@@ -4,7 +4,7 @@
 //! exist to catch order-of-magnitude regressions and to document the
 //! relative cost of the building blocks, not to resolve 1 % deltas.
 //!
-//! For A/B comparisons use [`compare`], not back-to-back [`bench`] calls:
+//! For A/B comparisons use [`compare`], not back-to-back [`bench()`] calls:
 //! running variant A's reps as one block and variant B's as another biases
 //! whichever ran later (warmed caches, ramped-up clocks) and exposes each
 //! variant to different machine-noise windows. [`compare`] interleaves the

@@ -43,8 +43,6 @@ pub mod counter {
     pub const TASKS_STOLEN: &str = "tasks_stolen";
     /// Full steal rounds (every victim tried) that found nothing.
     pub const STEAL_FAILURES: &str = "steal_failures";
-    /// Software write-combining lines flushed during a scatter.
-    pub const BUFFER_FLUSHES: &str = "buffer_flushes";
     /// Morsel-granular tasks executed by a pipelined phase (histogram,
     /// scatter, refine, build, or probe morsels, per phase).
     pub const MORSELS: &str = "morsels";

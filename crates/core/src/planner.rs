@@ -51,21 +51,6 @@ pub fn validate_config(cfg: &JoinConfig) -> Result<(), JoinError> {
         )));
     }
 
-    // Buffered scatter keeps fanout × wc_tuples tuples of write-combining
-    // buffers per worker; past the L2 budget (~16 MB here) the buffers evict
-    // each other and the mode silently degrades below Direct scatter.
-    let fanout = 1usize << cfg.cpu.radix.bits_per_pass.first().copied().unwrap_or(0);
-    let wc_bytes = fanout
-        .saturating_mul(cfg.cpu.wc_tuples)
-        .saturating_mul(std::mem::size_of::<skewjoin_common::Tuple>());
-    if cfg.cpu.scatter == skewjoin_cpu::partition::ScatterMode::Buffered && wc_bytes > (1 << 24) {
-        return Err(JoinError::InvalidConfig(format!(
-            "write-combining buffers need fanout {} × wc_tuples {} × 8 B = {} bytes per \
-             worker, beyond any per-core cache budget (16 MB cap)",
-            fanout, cfg.cpu.wc_tuples, wc_bytes
-        )));
-    }
-
     Ok(())
 }
 
@@ -505,27 +490,18 @@ mod tests {
     #[test]
     fn bad_configs_are_rejected_with_specific_messages() {
         use skewjoin_common::hash::RadixConfig;
-        use skewjoin_cpu::partition::ScatterMode;
 
         type Mutation = fn(&mut JoinConfig);
         // (mutation, expected fragment of the InvalidConfig message)
         let cases: Vec<(Mutation, &str)> = vec![
             (|c| c.cpu.threads = 0, "threads must be > 0"),
-            (|c| c.cpu.wc_tuples = 7, "power of two"),
+            (|c| c.cpu.morsel_tuples = 7, "morsel_tuples"),
             (
                 |c| {
                     c.cpu.radix = RadixConfig::two_pass(24);
                     c.cpu.extra_pass_bits = 12;
                 },
                 "32-bit key width",
-            ),
-            (
-                |c| {
-                    c.cpu.scatter = ScatterMode::Buffered;
-                    c.cpu.radix = RadixConfig::single_pass(18);
-                    c.cpu.wc_tuples = 64;
-                },
-                "write-combining buffers",
             ),
             (|c| c.gpu.block_dim = 33, "block_dim"),
             (|c| c.gpu.skew.top_k = 0, "top_k"),

@@ -410,14 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_scatter_matches_reference() {
-        let w = PaperWorkload::generate(WorkloadSpec::paper(8192, 0.9, 31));
-        let mut cfg = CpuJoinConfig::with_threads(4);
-        cfg.scatter = crate::partition::ScatterMode::Buffered;
-        assert_matches_reference(&w.r, &w.s, &cfg);
-    }
-
-    #[test]
     fn records_both_phases() {
         let w = PaperWorkload::generate(WorkloadSpec::paper(2048, 0.5, 3));
         let outcome = cbase_join(&w.r, &w.s, &CpuJoinConfig::with_threads(2), |_| {

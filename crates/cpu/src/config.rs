@@ -3,7 +3,6 @@
 use skewjoin_common::hash::RadixConfig;
 use skewjoin_common::{CancelToken, JoinError};
 
-use crate::partition::{ScatterMode, SWWC_TUPLES};
 use crate::simd::SimdPolicy;
 use crate::task::SchedulerKind;
 
@@ -91,14 +90,6 @@ pub struct CpuJoinConfig {
     /// Which detector CSH runs (sampling per the paper, or the Misra–Gries
     /// extension).
     pub detector: SkewDetectorKind,
-    /// How the first partitioning pass scatters tuples (direct stores or
-    /// software write-combining buffers).
-    pub scatter: ScatterMode,
-    /// Tuples per software write-combining buffer when `scatter` is
-    /// [`ScatterMode::Buffered`]. Default [`SWWC_TUPLES`] (8 × 8-byte
-    /// tuples = one 64-byte cache line); must be a power of two in
-    /// `1..=64`.
-    pub wc_tuples: usize,
     /// Scheduler driving the partition-refinement and join task pools.
     pub scheduler: SchedulerKind,
     /// Bucket bits per partition hash table are sized to the build side; this
@@ -134,8 +125,6 @@ impl Default for CpuJoinConfig {
             extra_pass_bits: 4,
             skew: SkewDetectConfig::default(),
             detector: SkewDetectorKind::Sampling,
-            scatter: ScatterMode::Direct,
-            wc_tuples: SWWC_TUPLES,
             scheduler: SchedulerKind::default(),
             max_bucket_bits: 22,
             simd: SimdPolicy::default(),
@@ -170,12 +159,6 @@ impl CpuJoinConfig {
     pub fn validate(&self) -> Result<(), JoinError> {
         if self.threads == 0 {
             return Err(JoinError::InvalidConfig("threads must be > 0".into()));
-        }
-        if !self.wc_tuples.is_power_of_two() || !(1..=64).contains(&self.wc_tuples) {
-            return Err(JoinError::InvalidConfig(format!(
-                "wc_tuples must be a power of two in 1..=64, got {}",
-                self.wc_tuples
-            )));
         }
         if self.radix.bits_per_pass.is_empty() || self.radix.total_bits() == 0 {
             return Err(JoinError::InvalidConfig(
@@ -280,16 +263,6 @@ mod tests {
         let mut cfg = CpuJoinConfig::default();
         cfg.skew.min_sample_freq = 1;
         assert!(cfg.validate().is_err());
-
-        let mut cfg = CpuJoinConfig::default();
-        cfg.wc_tuples = 0;
-        assert!(cfg.validate().is_err());
-        cfg.wc_tuples = 7; // not a power of two
-        assert!(cfg.validate().is_err());
-        cfg.wc_tuples = 128; // larger than 64
-        assert!(cfg.validate().is_err());
-        cfg.wc_tuples = 16;
-        assert!(cfg.validate().is_ok());
 
         let mut cfg = CpuJoinConfig::default();
         cfg.max_bucket_bits = 0; // would shift table_hash by 32

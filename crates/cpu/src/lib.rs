@@ -43,7 +43,6 @@ pub use cbase::cbase_join;
 pub use config::{CpuJoinConfig, SkewDetectConfig, SkewDetectorKind, DEFAULT_MORSEL_TUPLES};
 pub use csh::csh_join;
 pub use npj::npj_join;
-pub use partition::ScatterMode;
 pub use reference::reference_join;
 pub use route::{BuildRoute, ShardRouter};
 pub use simd::{SimdLevel, SimdPolicy};

@@ -10,10 +10,10 @@
 //!    sizes. The last finisher prefix-sums the histograms into per-segment
 //!    write cursors and spawns the Scatter tasks.
 //! 2. **Scatter** — one task per segment copies its tuples into the scratch
-//!    buffer at the precomputed cursors ([`ScatterMode::Direct`] or the
-//!    write-combining buffered variant, SIMD-hashed either way). The last
-//!    finisher either publishes the pass-0 starts as final (single-pass
-//!    config) or spawns one Refine task per pass-0 partition.
+//!    buffer at the precomputed cursors, one store per tuple, hashing a
+//!    SIMD batch at a time ([`crate::partition`]). The last finisher either
+//!    publishes the pass-0 starts as final (single-pass config) or spawns
+//!    one Refine task per pass-0 partition.
 //! 3. **Refine** — one task per pass-0 partition runs the remaining radix
 //!    passes *locally* (stable per-pass counting sorts, so final partitions
 //!    come out in memory order), copies the result into the final buffer,
@@ -59,12 +59,11 @@ use skewjoin_common::{CancelToken, JoinError, JoinStats, OutputSink, Relation, T
 
 use crate::cbase::{JoinPhase, JoinTask, TupleBuf};
 use crate::config::CpuJoinConfig;
-use crate::partition::{pass_spec, scatter_buffered, scatter_direct, Route, SharedUsizeSlice};
+use crate::partition::{pass_spec, scatter_direct, Route, SharedUsizeSlice};
 use crate::simd::{self, SimdLevel, HASH_BATCH};
 use crate::skew::SkewCheckupTable;
 use crate::task::{run_to_completion, SchedStats, TaskQueue, Worker};
 use crate::util::{segment, SharedTupleSlice};
-use crate::ScatterMode;
 
 /// Upper bound on segments per side, so tiny morsel sizes on huge inputs
 /// cannot explode the task count (the scheduler is fine with thousands of
@@ -192,8 +191,6 @@ struct SideState<'a> {
     /// `p * fanout_rest + j` is written only by parent `p`'s Refine task,
     /// so concurrent Refines never touch the same slot.
     child_starts: SharedUsizeSlice,
-    /// Write-combining buffer flushes (buffered scatter mode only).
-    flushes: AtomicU64,
     /// Hist + Scatter + Refine tasks executed.
     morsels: AtomicU64,
 }
@@ -232,7 +229,6 @@ impl<'a> SideState<'a> {
                 scratch
             },
             child_starts: SharedUsizeSlice::new(child_starts),
-            flushes: AtomicU64::new(0),
             morsels: AtomicU64::new(0),
         }
     }
@@ -524,24 +520,14 @@ impl<'a> Pipeline<'a> {
         cursors: Vec<usize>,
         route: impl FnMut(&Tuple) -> Route,
     ) {
-        let radix = &self.cfg.radix;
-        match self.cfg.scatter {
-            ScatterMode::Direct => {
-                scatter_direct(chunk, radix, cursors, st.scratch, self.simd, route)
-            }
-            ScatterMode::Buffered => {
-                let flushes = scatter_buffered(
-                    chunk,
-                    radix,
-                    cursors,
-                    st.scratch,
-                    self.cfg.wc_tuples,
-                    self.simd,
-                    route,
-                );
-                st.flushes.fetch_add(flushes, Ordering::Relaxed);
-            }
-        }
+        scatter_direct(
+            chunk,
+            &self.cfg.radix,
+            cursors,
+            st.scratch,
+            self.simd,
+            route,
+        );
     }
 
     /// S's scatter under the hot-key hook: cold tuples scatter as usual; a
@@ -795,7 +781,6 @@ impl<'a> Pipeline<'a> {
             p.add(counter::TUPLES_IN, st.input.len() as u64);
             p.add(counter::TUPLES_OUT, stored + consumed);
             p.set(counter::PARTITIONS, total_fanout as u64);
-            p.add(counter::BUFFER_FLUSHES, st.flushes.load(Ordering::Relaxed));
             p.add(counter::MORSELS, st.morsels.load(Ordering::Relaxed));
         }
         if let Flavor::Csh(_) = self.flavor {
@@ -894,8 +879,6 @@ pub(crate) mod tests {
         pub(crate) parts: [Vec<Vec<Tuple>>; 2],
         /// R's hot runs, one per checkup-table key (hot-key hook only).
         pub(crate) hot_runs: Vec<Vec<Tuple>>,
-        /// Write-combining flushes over both sides.
-        pub(crate) flushes: u64,
     }
 
     /// Runs the pipeline over `r` and `s` with counting sinks and returns its
@@ -933,11 +916,6 @@ pub(crate) mod tests {
         Layout {
             parts: [parts(Side::R), parts(Side::S)],
             hot_runs,
-            flushes: pipeline
-                .sides
-                .iter()
-                .map(|st| st.flushes.load(Ordering::Relaxed))
-                .sum(),
         }
     }
 

@@ -3,14 +3,16 @@
 //!
 //! Pass 0 follows Balkesen et al.'s contention-free scheme: each input
 //! segment is histogrammed, a prefix sum hands every `(bucket, segment)`
-//! pair a private output range, and `scatter_direct` or
-//! `scatter_buffered` (software write-combining) copies the segment into
-//! its ranges, hashing a SIMD batch at a time. A per-tuple `Route`
-//! closure can override the radix bucket: CSH's router hook sends hot R
-//! tuples to per-key runs past the radix buckets and consumes hot S tuples
-//! without storing them. The later passes run per pass-0 partition inside
-//! the pipeline's Refine tasks, so final partitions come out in
-//! *memory order* ([`memory_pid`]).
+//! pair a private output range, and `scatter_direct` copies the segment
+//! into its ranges with one store per tuple, hashing a SIMD batch at a
+//! time. There is no software write-combining variant: on this pipeline
+//! it took 0.89–1.05× the direct scatter's time, faster in some cells and
+//! slower in others (EXPERIMENTS.md). A per-tuple `Route` closure can
+//! override the radix bucket: CSH's router hook sends hot R tuples to
+//! per-key runs past the radix buckets and consumes hot S tuples without
+//! storing them. The later passes run per pass-0 partition inside the
+//! pipeline's Refine tasks, so final partitions come out in *memory
+//! order* ([`memory_pid`]).
 //!
 //! [`partition_slice_by`] is the sequential partitioner behind Cbase's
 //! recursive large-task splitting.
@@ -32,28 +34,6 @@ pub fn memory_pid(cfg: &RadixConfig, key: u32) -> usize {
     }
     pid
 }
-
-/// How the scatter scan writes tuples to their target partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScatterMode {
-    /// One store per tuple straight to the target partition.
-    #[default]
-    Direct,
-    /// Software write-combining (Balkesen et al.'s optimization): each
-    /// thread stages tuples in cache-line-sized per-partition buffers and
-    /// flushes a full line at a time, so the scatter touches one cache
-    /// line per partition instead of one per tuple. Most effective at high
-    /// fan-outs where direct stores thrash the TLB/cache.
-    Buffered,
-}
-
-/// Default tuples per software write-combining buffer: four 64-byte cache
-/// lines. The flush is a bulk `memcpy`, so longer staged runs amortize its
-/// call overhead and give the copy loop whole-line bursts; 256 bytes per
-/// partition measured best on the zipf sweep (8-tuple lines consistently
-/// lost to direct stores, 32-tuple lines win from zipf 1.0 up).
-/// Configurable via `CpuJoinConfig::wc_tuples`.
-pub const SWWC_TUPLES: usize = 32;
 
 /// Where a pass-0 scatter sends one tuple.
 pub(crate) enum Route {
@@ -103,142 +83,6 @@ pub(crate) fn scatter_direct(
             unsafe { shared.write(cursors[b], *t) };
             cursors[b] += 1;
         }
-    }
-}
-
-/// Software write-combining scatter: stage up to `wc_tuples` tuples per
-/// bucket in a thread-local buffer; flush a full line at once. `route`
-/// decides each tuple's bucket as in [`scatter_direct`]. Returns the number
-/// of full-line flushes.
-pub(crate) fn scatter_buffered(
-    chunk: &[Tuple],
-    cfg: &RadixConfig,
-    mut cursors: Vec<usize>,
-    shared: SharedTupleSlice,
-    wc_tuples: usize,
-    level: SimdLevel,
-    mut route: impl FnMut(&Tuple) -> Route,
-) -> u64 {
-    faults::maybe_panic("cpu.partition.scatter");
-    let (mixed, shift, mask) = pass_spec(cfg, 0);
-    let mut wc = WriteCombiner::new(cursors.len(), wc_tuples);
-    let mut pids = [0u32; HASH_BATCH];
-    for batch in chunk.chunks(HASH_BATCH) {
-        simd::hash_indices(level, batch, mixed, shift, mask, &mut pids);
-        for (t, &p) in batch.iter().zip(&pids) {
-            let b = match route(t) {
-                // `p <= mask < fanout(0) <= cursors.len()`.
-                Route::Radix => p as usize,
-                Route::Bucket(b) => {
-                    assert!(b < cursors.len(), "bucket {b} out of range");
-                    b
-                }
-                Route::Consumed => continue,
-            };
-            // SAFETY: `b` is in range (see the match) and the staged writes
-            // land in this segment's private cursor ranges — same
-            // disjointness argument as the direct path.
-            unsafe { wc.stage(b, *t, &mut cursors, shared) };
-        }
-    }
-    // SAFETY: as above.
-    unsafe { wc.flush_all(&mut cursors, shared) };
-    wc.flushes()
-}
-
-/// One segment's software write-combining buffers: a cache-line-sized
-/// staging area per bucket. A hot S tuple consumed by CSH's router never
-/// enters them, so staged cold tuples may sit across its result emission;
-/// what matters is the remainder flush before the Scatter task counts
-/// itself done, because the next stage reads the buckets right after.
-struct WriteCombiner {
-    line: usize,
-    /// `fanout × line` staging slots, flat.
-    buffers: Vec<Tuple>,
-    fill: Vec<u16>,
-    flushes: u64,
-}
-
-impl WriteCombiner {
-    /// Staging buffers for `fanout` partitions, `line` tuples each.
-    fn new(fanout: usize, line: usize) -> Self {
-        assert!(
-            line.is_power_of_two() && (1..=64).contains(&line),
-            "write-combining line must be a power of two in 1..=64, got {line}"
-        );
-        Self {
-            line,
-            buffers: vec![Tuple::default(); fanout * line],
-            fill: vec![0u16; fanout],
-            flushes: 0,
-        }
-    }
-
-    /// Stages `t` for partition `p`, flushing the full line through
-    /// `cursors[p]` when it fills (maps to streaming stores). The body is
-    /// branch-lean and bounds-check-free: this runs once per input tuple,
-    /// and any checked indexing here costs more than the cache misses the
-    /// buffering saves.
-    ///
-    /// # Safety
-    /// `p` must be below the `fanout` this combiner was built with (and
-    /// `cursors`/`fill` must have that same length), and the caller must
-    /// guarantee `cursors[p] .. cursors[p] + pending` stays a range written
-    /// by this thread only (see [`SharedTupleSlice::write`]).
-    #[inline]
-    unsafe fn stage(
-        &mut self,
-        p: usize,
-        t: Tuple,
-        cursors: &mut [usize],
-        shared: SharedTupleSlice,
-    ) {
-        debug_assert!(p < self.fill.len() && cursors.len() == self.fill.len());
-        let base = p * self.line;
-        // SAFETY: `p < fanout` per the caller's contract, so every index
-        // below is in bounds; the bulk copy targets this worker's private
-        // cursor range (forwarded contract) and cannot overlap the staging
-        // buffer (`shared` aliases the partition output, not `self`).
-        unsafe {
-            let f = *self.fill.get_unchecked(p) as usize;
-            *self.buffers.get_unchecked_mut(base + f) = t;
-            if f + 1 == self.line {
-                let cur = cursors.get_unchecked_mut(p);
-                shared.copy_from(*cur, self.buffers.as_ptr().add(base), self.line);
-                *cur += self.line;
-                *self.fill.get_unchecked_mut(p) = 0;
-                self.flushes += 1;
-            } else {
-                *self.fill.get_unchecked_mut(p) = (f + 1) as u16;
-            }
-        }
-    }
-
-    /// Flushes every partial line. Must run before the cursors' target
-    /// ranges are read (before the Scatter task counts itself done).
-    ///
-    /// # Safety
-    /// Same contract as [`WriteCombiner::stage`].
-    unsafe fn flush_all(&mut self, cursors: &mut [usize], shared: SharedTupleSlice) {
-        faults::maybe_panic("cpu.partition.flush");
-        for (p, fill) in self.fill.iter_mut().enumerate() {
-            let n = *fill as usize;
-            if n == 0 {
-                continue;
-            }
-            let base = p * self.line;
-            // SAFETY: forwarded from the caller's contract; staging buffer
-            // and partition output never alias.
-            unsafe { shared.copy_from(cursors[p], self.buffers.as_ptr().add(base), n) };
-            cursors[p] += n;
-            *fill = 0;
-        }
-    }
-
-    /// Full-line flushes so far (partial `flush_all` lines not counted:
-    /// they are forced, not combining wins).
-    fn flushes(&self) -> u64 {
-        self.flushes
     }
 }
 
@@ -320,8 +164,7 @@ mod tests {
     use crate::skew::{SkewCheckupTable, SkewedKey};
     use crate::task::SchedulerKind;
     use skewjoin_common::hash::RadixMode;
-    use skewjoin_common::trace::counter;
-    use skewjoin_common::{CountingSink, Relation};
+    use skewjoin_common::Relation;
 
     fn test_relation(n: usize) -> Relation {
         Relation::from_tuples(
@@ -419,84 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_scatter_matches_direct() {
-        let r = test_relation(7777);
-        for bits in [4u32, 8] {
-            let direct = config(RadixConfig::two_pass(bits), 3);
-            let buffered = CpuJoinConfig {
-                scatter: ScatterMode::Buffered,
-                ..direct.clone()
-            };
-            assert_eq!(
-                layout(&r, &direct).parts,
-                layout(&r, &buffered).parts,
-                "bits {bits}"
-            );
-        }
-    }
-
-    #[test]
-    fn buffered_scatter_handles_non_multiple_fills() {
-        // Sizes that leave partial SWWC buffers at every partition.
-        for n in [1usize, 7, 9, 63, 65] {
-            let r = test_relation(n);
-            let cfg = CpuJoinConfig {
-                scatter: ScatterMode::Buffered,
-                ..config(RadixConfig::single_pass(3), 2)
-            };
-            for parts in layout(&r, &cfg).parts {
-                assert_eq!(sorted(parts.concat()), sorted(r.tuples().to_vec()), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn wc_line_sizes_all_agree() {
-        let r = test_relation(4321);
-        let direct = config(RadixConfig::two_pass(6), 2);
-        let expected = layout(&r, &direct);
-        for line in [1usize, 2, 16, 64] {
-            let cfg = CpuJoinConfig {
-                scatter: ScatterMode::Buffered,
-                wc_tuples: line,
-                ..direct.clone()
-            };
-            let got = layout(&r, &cfg);
-            assert_eq!(expected.parts, got.parts, "line {line}");
-            if line == 1 {
-                // Every tuple of both sides is its own full line.
-                assert_eq!(got.flushes, 2 * r.len() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn partition_stats_report_flushes_and_scheduler() {
-        let r = test_relation(4096);
-        let run = |scatter| {
-            // Segments of 2 Ki tuples over 16 pass-0 partitions: enough
-            // tuples per partition to fill 32-tuple lines.
-            let cfg = CpuJoinConfig {
-                scatter,
-                morsel_tuples: 2048,
-                ..config(RadixConfig::two_pass(8), 3)
-            };
-            crate::cbase_join(&r, &r, &cfg, |_| CountingSink::new())
-                .expect("join")
-                .stats
-        };
-        let buffered = run(ScatterMode::Buffered);
-        assert!(buffered.trace.get("partition", counter::BUFFER_FLUSHES) > Some(0));
-        assert!(buffered.trace.get("join", counter::TASKS_STOLEN).is_some());
-        // Direct mode never flushes.
-        let direct = run(ScatterMode::Direct);
-        assert_eq!(
-            direct.trace.get("partition", counter::BUFFER_FLUSHES),
-            Some(0)
-        );
-    }
-
-    #[test]
     fn mutex_scheduler_matches_work_stealing() {
         let r = test_relation(3000);
         let ws = CpuJoinConfig {
@@ -517,28 +282,25 @@ mod tests {
         let r = test_relation(6001); // odd size: exercises every tail path
         for bits in [3u32, 9] {
             for mode in [RadixMode::Mixed, RadixMode::Raw] {
-                for scatter in [ScatterMode::Direct, ScatterMode::Buffered] {
-                    let scalar = CpuJoinConfig {
-                        scatter,
-                        simd: SimdPolicy::Scalar,
-                        ..config(
-                            RadixConfig {
-                                mode,
-                                ..RadixConfig::two_pass(bits)
-                            },
-                            3,
-                        )
-                    };
-                    let auto = CpuJoinConfig {
-                        simd: SimdPolicy::Auto,
-                        ..scalar.clone()
-                    };
-                    assert_eq!(
-                        layout(&r, &scalar).parts,
-                        layout(&r, &auto).parts,
-                        "bits {bits} mode {mode:?} scatter {scatter:?}"
-                    );
-                }
+                let scalar = CpuJoinConfig {
+                    simd: SimdPolicy::Scalar,
+                    ..config(
+                        RadixConfig {
+                            mode,
+                            ..RadixConfig::two_pass(bits)
+                        },
+                        3,
+                    )
+                };
+                let auto = CpuJoinConfig {
+                    simd: SimdPolicy::Auto,
+                    ..scalar.clone()
+                };
+                assert_eq!(
+                    layout(&r, &scalar).parts,
+                    layout(&r, &auto).parts,
+                    "bits {bits} mode {mode:?}"
+                );
             }
         }
     }
@@ -580,28 +342,22 @@ mod tests {
             })
             .collect();
         let table = SkewCheckupTable::build(&skewed);
-        for scatter in [ScatterMode::Direct, ScatterMode::Buffered] {
-            let cfg = CpuJoinConfig {
-                scatter,
-                ..config(RadixConfig::two_pass(6), 3)
-            };
-            let out = partition_layout(&rel, &rel, &cfg, Flavor::Csh(&table));
-            let cold: Vec<Tuple> = tuples
-                .iter()
-                .copied()
-                .filter(|t| !hot_keys.contains(&t.key))
-                .collect();
-            for parts in &out.parts {
-                assert_eq!(sorted(parts.concat()), sorted(cold.clone()));
-                for (pid, part) in parts.iter().enumerate() {
-                    assert!(part.iter().all(|t| memory_pid(&cfg.radix, t.key) == pid));
-                }
+        let cfg = config(RadixConfig::two_pass(6), 3);
+        let out = partition_layout(&rel, &rel, &cfg, Flavor::Csh(&table));
+        let cold: Vec<Tuple> = tuples
+            .iter()
+            .copied()
+            .filter(|t| !hot_keys.contains(&t.key))
+            .collect();
+        for parts in &out.parts {
+            assert_eq!(sorted(parts.concat()), sorted(cold.clone()));
+            for (pid, part) in parts.iter().enumerate() {
+                assert!(part.iter().all(|t| memory_pid(&cfg.radix, t.key) == pid));
             }
-            for (run, &key) in out.hot_runs.iter().zip(&hot_keys) {
-                let expected: Vec<Tuple> =
-                    tuples.iter().copied().filter(|t| t.key == key).collect();
-                assert_eq!(run, &expected, "key {key} scatter {scatter:?}");
-            }
+        }
+        for (run, &key) in out.hot_runs.iter().zip(&hot_keys) {
+            let expected: Vec<Tuple> = tuples.iter().copied().filter(|t| t.key == key).collect();
+            assert_eq!(run, &expected, "key {key}");
         }
     }
 

@@ -17,6 +17,15 @@
 //! a wrong answer. The manifest itself is written crash-safely: to a `.tmp`
 //! name, fsynced, then renamed over the final name.
 //!
+//! ## Partitioning
+//!
+//! One partitioner, `partition_to_files`, writes level 0 and every
+//! recursion level on the [`crate::task`] pool: one task per in-memory
+//! `SCATTER_CHUNK_TUPLES` range at level 0, one per parent run at a
+//! recursion level. Workers scatter into private bounded buffers sized
+//! for `fanout × threads` of them, so the scatter stays within the same
+//! budget share at any thread count and at every level.
+//!
 //! ## Recursion policy
 //!
 //! A reloaded pair that still exceeds the in-memory budget is re-partitioned
@@ -42,8 +51,7 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use skewjoin_common::hash::{mix32, mix64, radix_pass};
@@ -54,6 +62,7 @@ use skewjoin_common::{faults, JoinError, JoinStats, Key, OutputSink, Relation, T
 
 use crate::config::CpuJoinConfig;
 use crate::npj::npj_join;
+use crate::task::{run_to_completion, TaskQueue};
 use crate::{aggregate_sinks, JoinOutcome};
 
 /// Failpoint hit on every spill-file create and append. Firing injects an
@@ -613,10 +622,11 @@ fn pair_cost(r_tuples: u64, s_tuples: u64) -> u64 {
     resident + buckets + chain
 }
 
-/// Scatter-buffer capacity in tuples per partition side, bounded so all
-/// `2 × fanout` buffers together stay within half the working budget.
-fn scatter_buffer_tuples(mem_budget: u64, fanout: usize) -> usize {
-    let per_buffer = mem_budget / 2 / (2 * fanout as u64) / TUPLE_BYTES;
+/// Scatter-buffer capacity in tuples per partition side, bounded so
+/// `2 × buffers` of them (both sides' worth) stay within half the working
+/// budget. The spill partitioner passes `fanout × threads` buffers.
+fn scatter_buffer_tuples(mem_budget: u64, buffers: usize) -> usize {
+    let per_buffer = mem_budget / 2 / (2 * buffers as u64) / TUPLE_BYTES;
     per_buffer.clamp(16, 64 * 1024) as usize
 }
 
@@ -644,156 +654,124 @@ where
     degradations: Vec<String>,
 }
 
-/// Partitions a stream of tuple chunks into `2^bits` run files under `dir`,
-/// using bounded scatter buffers. Returns one finished (fsynced)
-/// [`SpillFile`] per partition.
-fn partition_chunks<I>(
-    chunks: I,
-    dir: &Path,
-    side: char,
-    shift: u32,
-    bits: u32,
-    buffer_tuples: usize,
-    cancel: &skewjoin_common::CancelToken,
-) -> Result<Vec<SpillFile>, JoinError>
-where
-    I: Iterator<Item = Result<Vec<Tuple>, SpillError>>,
-{
-    let fanout = 1usize << bits;
-    let mut files = Vec::with_capacity(fanout);
-    for p in 0..fanout {
-        files.push(SpillFile::create(dir, &format!("{side}_{p}.run"))?);
-    }
-    let mut buffers: Vec<Vec<Tuple>> = (0..fanout)
-        .map(|_| Vec::with_capacity(buffer_tuples))
-        .collect();
-    for chunk in chunks {
-        cancel.check("spill_partition")?;
-        for t in chunk? {
-            let p = radix_pass(mix32(t.key), shift, bits);
-            buffers[p].push(t);
-            if buffers[p].len() >= buffer_tuples {
-                files[p].append_run(&buffers[p])?;
-                buffers[p].clear();
-            }
-        }
-    }
-    for (p, buf) in buffers.iter().enumerate() {
-        files[p].append_run(buf)?;
-    }
-    for f in &mut files {
-        f.finish()?;
-    }
-    Ok(files)
+/// What one spill scatter reads: the relation in memory at level 0, a
+/// parent partition's run file at a recursion level.
+enum ScatterInput<'a> {
+    /// Task `i` scatters the `i`-th `SCATTER_CHUNK_TUPLES` range in place.
+    Slice(&'a [Tuple]),
+    /// Every task scatters the next run it reads; one task per run.
+    Runs(Mutex<SpillReader>),
 }
 
-/// Morsel-style parallel scatter over an in-memory slice — the level-0 fast
-/// path. Workers claim fixed-size chunks through an atomic cursor,
-/// accumulate tuples into *private* bounded buffers, and append full
-/// buffers to the shared per-partition files under a per-file mutex. Run
-/// order within a file becomes nondeterministic across threads, which is
-/// harmless by construction: runs are self-delimiting, the join phase is
-/// order-insensitive, and the manifest checksum is an order-independent
-/// wrapping sum. Recursion levels keep the sequential [`partition_chunks`]
-/// path — their input streams from disk, so a parallel scatter would just
-/// contend on the reader.
-#[allow(clippy::too_many_arguments)]
-fn partition_slice_parallel(
-    tuples: &[Tuple],
+/// The spill partitioner, used at level 0 and at every recursion level:
+/// scatters `input` into `2^bits` run files under `dir` by key bits
+/// `[shift, shift + bits)` of the mixed key, and returns one finished
+/// (fsynced) [`SpillFile`] per partition.
+///
+/// It runs on the [`crate::task`] pool with one task per input chunk. Each
+/// worker scatters into *private* bounded buffers, sized so all workers'
+/// buffers together stay within half of `mem_budget`, and appends a full
+/// buffer to the shared file under that file's mutex; what remains is
+/// appended once the pool drains. Run order within a file therefore varies
+/// with scheduling, which is harmless by construction: runs are
+/// self-delimiting, the join phase is order-insensitive, and the manifest
+/// checksum is an order-independent wrapping sum. An I/O fault or a cancel
+/// stops the remaining tasks and surfaces as the first error seen; a
+/// panicking worker surfaces as [`JoinError::WorkerPanicked`].
+fn partition_to_files(
+    input: ScatterInput<'_>,
     dir: &Path,
     side: char,
-    shift: u32,
-    bits: u32,
-    buffer_tuples: usize,
-    threads: usize,
-    cancel: &skewjoin_common::CancelToken,
+    (shift, bits): (u32, u32),
+    mem_budget: u64,
+    cfg: &CpuJoinConfig,
 ) -> Result<Vec<SpillFile>, JoinError> {
-    let threads = threads.max(1);
-    if threads == 1 || tuples.len() <= SCATTER_CHUNK_TUPLES {
-        return partition_chunks(
-            tuples.chunks(SCATTER_CHUNK_TUPLES).map(|c| Ok(c.to_vec())),
-            dir,
-            side,
-            shift,
-            bits,
-            buffer_tuples,
-            cancel,
-        );
-    }
     let fanout = 1usize << bits;
-    let mut files = Vec::with_capacity(fanout);
-    for p in 0..fanout {
-        files.push(Mutex::new(SpillFile::create(
-            dir,
-            &format!("{side}_{p}.run"),
-        )?));
-    }
-    let chunk_count = tuples.len().div_ceil(SCATTER_CHUNK_TUPLES);
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
+    let buffer_tuples = scatter_buffer_tuples(mem_budget, fanout * cfg.threads.max(1));
+    let files = (0..fanout)
+        .map(|p| SpillFile::create(dir, &format!("{side}_{p}.run")).map(Mutex::new))
+        .collect::<Result<Vec<_>, _>>()?;
+    let tasks = match &input {
+        ScatterInput::Slice(tuples) => tuples.len().div_ceil(SCATTER_CHUNK_TUPLES),
+        ScatterInput::Runs(reader) => lock(reader).expected.runs as usize,
+    };
     let first_error: Mutex<Option<JoinError>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(chunk_count) {
-            scope.spawn(|| {
-                let mut buffers: Vec<Vec<Tuple>> = (0..fanout)
-                    .map(|_| Vec::with_capacity(buffer_tuples))
-                    .collect();
-                let fail = |e: JoinError| {
-                    stop.store(true, Ordering::Relaxed);
-                    let mut slot = first_error.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                };
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunk_count || stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Err(e) = cancel.check("spill_partition") {
-                        fail(e);
-                        return;
-                    }
-                    let start = i * SCATTER_CHUNK_TUPLES;
-                    let end = (start + SCATTER_CHUNK_TUPLES).min(tuples.len());
-                    for t in &tuples[start..end] {
-                        let p = radix_pass(mix32(t.key), shift, bits);
-                        buffers[p].push(*t);
-                        if buffers[p].len() >= buffer_tuples {
-                            let appended = files[p].lock().unwrap().append_run(&buffers[p]);
-                            buffers[p].clear();
-                            if let Err(e) = appended {
-                                fail(e.into());
-                                return;
-                            }
-                        }
-                    }
-                }
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                for (p, buf) in buffers.iter().enumerate() {
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    if let Err(e) = files[p].lock().unwrap().append_run(buf) {
-                        fail(e.into());
-                        return;
-                    }
-                }
-            });
+    let fail = |e: JoinError| {
+        lock(&first_error).get_or_insert(e);
+    };
+    let append = |p: usize, buf: &mut Vec<Tuple>| {
+        let appended = lock(&files[p]).append_run(buf);
+        buf.clear();
+        appended.map_err(JoinError::from)
+    };
+    let scatter_task = |i: usize, buffers: &mut [Vec<Tuple>]| -> Result<(), JoinError> {
+        cfg.cancel.check("spill_partition")?;
+        let run;
+        let tuples = match &input {
+            ScatterInput::Slice(tuples) => {
+                let start = i * SCATTER_CHUNK_TUPLES;
+                &tuples[start..(start + SCATTER_CHUNK_TUPLES).min(tuples.len())]
+            }
+            ScatterInput::Runs(reader) => {
+                run = lock(reader).next_run()?.unwrap_or_default();
+                &run[..]
+            }
+        };
+        for t in tuples {
+            let p = radix_pass(mix32(t.key), shift, bits);
+            buffers[p].push(*t);
+            if buffers[p].len() >= buffer_tuples {
+                append(p, &mut buffers[p])?;
+            }
         }
-    });
-    if let Some(e) = first_error.into_inner().unwrap() {
+        Ok(())
+    };
+    let queue = TaskQueue::seeded(cfg.scheduler, 0..tasks);
+    run_to_completion(&queue, cfg.threads.min(tasks).max(1), |worker| {
+        let mut buffers: Vec<Vec<Tuple>> = (0..fanout)
+            .map(|_| Vec::with_capacity(buffer_tuples))
+            .collect();
+        worker.run(|i, _| {
+            if lock(&first_error).is_none() {
+                if let Err(e) = scatter_task(i, &mut buffers) {
+                    fail(e);
+                }
+            }
+        });
+        for (p, buf) in buffers.iter_mut().enumerate() {
+            if !buf.is_empty() && lock(&first_error).is_none() {
+                if let Err(e) = append(p, buf) {
+                    fail(e);
+                }
+            }
+        }
+    })
+    .map_err(|worker| JoinError::WorkerPanicked {
+        worker,
+        phase: "spill_partition".into(),
+    })?;
+    if let Some(e) = lock(&first_error).take() {
         return Err(e);
+    }
+    if let ScatterInput::Runs(reader) = input {
+        // One task per run consumed every run, so this read verifies count
+        // and checksum against the parent's manifest.
+        let tail = lock(&reader).next_run()?;
+        debug_assert!(tail.is_none(), "a run was left unscattered");
     }
     let mut finished = Vec::with_capacity(fanout);
     for file in files {
-        let mut f = file.into_inner().unwrap();
+        let mut f = file.into_inner().unwrap_or_else(PoisonError::into_inner);
         f.finish()?;
         finished.push(f);
     }
     Ok(finished)
+}
+
+/// Locks `m`, ignoring poison: a panicking scatter worker is reported as
+/// [`JoinError::WorkerPanicked`], and nothing it left half-written is read.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Builds and stores a level manifest from freshly written partition files.
@@ -857,36 +835,29 @@ where
     };
 
     // Level-0 scatter: both relations stream to disk through bounded
-    // buffers, parallelized morsel-style across the configured worker
-    // count; nothing near the full input is ever resident at once. The
-    // buffers are divided across workers so the aggregate stays within the
-    // same budget share the sequential scatter used.
+    // buffers on the task pool; nothing near the full input is ever
+    // resident at once. The buffers are divided across workers so their
+    // aggregate stays within the same budget share at any thread count.
     let scatter_started = Instant::now();
     let bits = spill.partition_bits;
-    let scatter_threads = cfg.threads.max(1);
-    let buffer_tuples = scatter_buffer_tuples(spill.mem_budget, (1usize << bits) * scatter_threads);
     let level_dir = dir.path().join("level0");
     std::fs::create_dir_all(&level_dir)
         .map_err(|e| JoinError::SpillFailed(format!("create level dir: {e}")))?;
-    let r_files = partition_slice_parallel(
-        r.tuples(),
+    let r_files = partition_to_files(
+        ScatterInput::Slice(r.tuples()),
         &level_dir,
         'r',
-        0,
-        bits,
-        buffer_tuples,
-        scatter_threads,
-        &cfg.cancel,
+        (0, bits),
+        spill.mem_budget,
+        cfg,
     )?;
-    let s_files = partition_slice_parallel(
-        s.tuples(),
+    let s_files = partition_to_files(
+        ScatterInput::Slice(s.tuples()),
         &level_dir,
         's',
-        0,
-        bits,
-        buffer_tuples,
-        scatter_threads,
-        &cfg.cancel,
+        (0, bits),
+        spill.mem_budget,
+        cfg,
     )?;
     for f in r_files.iter().chain(&s_files) {
         ctx.counters.bytes_written += f.bytes_written();
@@ -929,7 +900,7 @@ where
     phase.set(counter::TUPLES_IN, (r.len() + s.len()) as u64);
     phase.set("pairs_in_memory", ctx.counters.pairs_in_memory);
     phase.set("pairs_nm_decomposed", ctx.counters.pairs_nm);
-    phase.set("scatter_threads", scatter_threads as u64);
+    phase.set("scatter_threads", cfg.threads.max(1) as u64);
     for d in ctx.degradations.drain(..) {
         stats.trace.record_degradation(d);
     }
@@ -1017,23 +988,16 @@ where
     std::fs::create_dir_all(&sub_dir)
         .map_err(|e| JoinError::SpillFailed(format!("create level dir: {e}")))?;
     let bits = manifest.bits;
-    let buffer_tuples = scatter_buffer_tuples(ctx.spill.mem_budget, 1 << bits);
     let mut repartitioned = Vec::with_capacity(2);
     for (meta, side) in [(&entry.r, 'r'), (&entry.s, 's')] {
-        let mut reader = SpillReader::open(dir, meta)?;
-        let chunks = std::iter::from_fn(|| match reader.next_run() {
-            Ok(Some(run)) => Some(Ok(run)),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
-        });
-        let files = partition_chunks(
-            chunks,
+        let reader = Mutex::new(SpillReader::open(dir, meta)?);
+        let files = partition_to_files(
+            ScatterInput::Runs(reader),
             &sub_dir,
             side,
-            next_shift,
-            bits,
-            buffer_tuples,
-            &ctx.cfg.cancel,
+            (next_shift, bits),
+            ctx.spill.mem_budget,
+            ctx.cfg,
         )?;
         ctx.counters.bytes_read += meta.tuples * TUPLE_BYTES + 4 * meta.runs;
         repartitioned.push(files);
@@ -1383,35 +1347,26 @@ mod tests {
 
     #[test]
     fn parallel_scatter_writes_the_same_partitions_as_sequential() {
-        // > SCATTER_CHUNK_TUPLES tuples so the parallel path actually runs,
-        // skew included so partitions are uneven.
+        // > SCATTER_CHUNK_TUPLES tuples so several tasks run, skew included
+        // so partitions are uneven.
         let tuples: Vec<Tuple> = (0..3 * SCATTER_CHUNK_TUPLES as u32)
             .map(|i| Tuple::new(if i % 5 == 0 { 7 } else { i % 4096 }, i))
             .collect();
-        let bits = 3u32;
-        let seq_dir = ScratchDir::create(None, "scatter-seq", 21).unwrap();
-        let seq = partition_chunks(
-            tuples.chunks(SCATTER_CHUNK_TUPLES).map(|c| Ok(c.to_vec())),
-            seq_dir.path(),
-            'r',
-            0,
-            bits,
-            512,
-            &CancelToken::default(),
-        )
-        .unwrap();
-        let par_dir = ScratchDir::create(None, "scatter-par", 22).unwrap();
-        let par = partition_slice_parallel(
-            &tuples,
-            par_dir.path(),
-            'r',
-            0,
-            bits,
-            512,
-            4,
-            &CancelToken::default(),
-        )
-        .unwrap();
+        let scatter = |threads: usize, seed: u64| {
+            let dir = ScratchDir::create(None, "scatter", seed).unwrap();
+            let files = partition_to_files(
+                ScatterInput::Slice(&tuples),
+                dir.path(),
+                'r',
+                (0, 3),
+                MIN_SPILL_BUDGET,
+                &CpuJoinConfig::with_threads(threads),
+            )
+            .unwrap();
+            (dir, files)
+        };
+        let (seq_dir, seq) = scatter(1, 21);
+        let (par_dir, par) = scatter(4, 22);
         assert_eq!(seq.len(), par.len());
         for (sf, pf) in seq.iter().zip(&par) {
             let sm = sf.meta();
@@ -1432,6 +1387,29 @@ mod tests {
                 .sort_unstable_by_key(|t| (t.key, t.payload));
             assert_eq!(s_rel.tuples(), p_rel.tuples(), "{}", sm.file);
         }
+    }
+
+    #[test]
+    fn recursing_spill_is_thread_count_independent() {
+        // 2^15 distinct-ish keys a side over 8 level-0 partitions: every
+        // pair is ~4 Ki + 4 Ki tuples, past the 64 KiB budget, so each one
+        // is re-partitioned from its run files at depth 1.
+        let r = zipfish(1 << 15, usize::MAX, 51);
+        let s = zipfish(1 << 15, usize::MAX, 52);
+        let run = |threads: usize| {
+            let mut cfg = spill_cfg(MIN_SPILL_BUDGET);
+            cfg.threads = threads;
+            grace_join(&r, &s, &cfg, |_| CountingSink::new()).unwrap()
+        };
+        let (a, b) = (run(1), run(4));
+        assert_eq!(a.stats.result_count, b.stats.result_count);
+        assert_eq!(a.stats.checksum, b.stats.checksum);
+        for out in [&a, &b] {
+            let depth = out.stats.trace.get("spill", counter::SPILL_RECURSION_DEPTH);
+            assert!(depth >= Some(1), "no recursion: {depth:?}");
+        }
+        let mut sink = CountingSink::new();
+        assert_eq!(a.stats.checksum, reference_join(&r, &s, &mut sink).checksum);
     }
 
     #[test]

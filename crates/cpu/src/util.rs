@@ -72,10 +72,7 @@ impl SharedTupleSlice {
     }
 
     /// Copies `n` tuples from `src` into `idx..idx + n` in one bulk move —
-    /// the flush path of the software write-combining buffers, where a
-    /// per-element `write` loop would defeat the point of batching.
-    /// (Non-temporal streaming stores were measured here and lost to plain
-    /// `memcpy` on virtualized hosts, so the flush stays cache-allocating.)
+    /// how a Refine task publishes a refined pass-0 partition.
     ///
     /// # Safety
     /// `idx + n` must be in bounds, `src..src + n` must be valid for reads

@@ -40,11 +40,10 @@ use crate::{
 /// through the out-of-core grace-hash path (CPU-only: GPU algorithms are
 /// mapped to their CPU counterpart, mirroring the service's spill rung)
 /// under a per-cell scratch directory that must be empty afterwards.
-pub const FAILPOINT_SITES: [&str; 13] = [
+pub const FAILPOINT_SITES: [&str; 12] = [
     "sched.task.run",
     "sched.steal",
     "cpu.partition.scatter",
-    "cpu.partition.flush",
     "cpu.partition.overflow",
     "cpu.skew.detect",
     "gpu.memory.alloc",
@@ -67,10 +66,9 @@ pub fn schedule_for(site: &str, seed: u64) -> Schedule {
         "sched.task.run" => Schedule::Probability(0.02),
         // Steals are rarer; fire more aggressively so some actually land.
         "sched.steal" => Schedule::Probability(0.10),
-        // Scatter/flush run once per worker per pass: fire exactly once, at
-        // a seed-chosen position.
+        // Scatter runs once per segment per side: fire exactly once, at a
+        // seed-chosen position.
         "cpu.partition.scatter" => Schedule::OnHit(1 + seed % 4),
-        "cpu.partition.flush" => Schedule::OnHit(1 + seed % 2),
         // Forced overflows must be absorbed by recursive splitting (or end
         // in a typed PartitionOverflow once the split budget is spent).
         "cpu.partition.overflow" => Schedule::Probability(0.20),

@@ -220,8 +220,6 @@ fn draw_config(rng: &mut Rng, case_size: usize) -> FuzzConfig {
         }
     };
     cfg.raw_radix = rng.below(4) == 0;
-    cfg.buffered_scatter = rng.below(2) == 0;
-    cfg.wc_tuples = [1, 2, 8, 16, 64][rng.below(5)];
     cfg.mutex_scheduler = rng.below(4) == 0;
     cfg.split_factor = [1.0, 1.5, 3.0, 8.0][rng.below(4)];
     cfg.extra_pass_bits = [1, 2, 4, 8, 12][rng.below(5)];
@@ -273,22 +271,21 @@ fn draw_config(rng: &mut Rng, case_size: usize) -> FuzzConfig {
     // validation.
     if rng.below(16) == 0 {
         cfg.expect_invalid = true;
-        match rng.below(12) {
-            0 => cfg.wc_tuples = 7,
-            1 => cfg.max_bucket_bits = 0,
-            2 => cfg.max_bucket_bits = 29,
-            3 => cfg.extra_pass_bits = 0,
-            4 => cfg.split_factor = 0.5,
-            5 => cfg.sample_rate = 0.0,
-            6 => cfg.gpu_block_dim = 100,
-            7 => cfg.gpu_top_k = 0,
+        match rng.below(11) {
+            0 => cfg.max_bucket_bits = 0,
+            1 => cfg.max_bucket_bits = 29,
+            2 => cfg.extra_pass_bits = 0,
+            3 => cfg.split_factor = 0.5,
+            4 => cfg.sample_rate = 0.0,
+            5 => cfg.gpu_block_dim = 100,
+            6 => cfg.gpu_top_k = 0,
             // Zero would spin the NM sub-list decomposition forever; a
             // 2²⁰-tuple table cannot fit any block's shared memory.
-            8 => cfg.gpu_table_capacity = Some(0),
-            9 => cfg.gpu_table_capacity = Some(1 << 20),
+            7 => cfg.gpu_table_capacity = Some(0),
+            8 => cfg.gpu_table_capacity = Some(1 << 20),
             // Below the spill floor: the grace driver cannot hold even
             // one partition's hash table in its working set.
-            10 => cfg.spill_budget = Some(1024),
+            9 => cfg.spill_budget = Some(1024),
             _ => cfg.morsel_tuples = 0,
         }
         // The broken GPU knobs only fail GPU algorithms and vice versa;

@@ -41,7 +41,7 @@ use std::time::Duration;
 use skewjoin::common::hash::{RadixConfig, RadixMode};
 use skewjoin::common::json::Json;
 use skewjoin::common::{Relation, Tuple};
-use skewjoin::cpu::{CpuJoinConfig, ScatterMode, SchedulerKind, SimdPolicy, SpillConfig};
+use skewjoin::cpu::{CpuJoinConfig, SchedulerKind, SimdPolicy, SpillConfig};
 use skewjoin::datagen::Rng;
 use skewjoin::gpu::{GpuBackendKind, GpuJoinConfig};
 use skewjoin::gpu_sim::DeviceSpec;
@@ -124,10 +124,6 @@ pub struct FuzzConfig {
     /// Take partition bits straight from the raw key ([`RadixMode::Raw`])
     /// instead of mixing first.
     pub raw_radix: bool,
-    /// Software write-combining scatter instead of direct stores.
-    pub buffered_scatter: bool,
-    /// Tuples per write-combining buffer.
-    pub wc_tuples: usize,
     /// Mutex scheduler instead of work stealing.
     pub mutex_scheduler: bool,
     /// Cbase oversize-partition split threshold.
@@ -182,8 +178,6 @@ impl Default for FuzzConfig {
             threads: 2,
             radix_bits: vec![4, 4],
             raw_radix: false,
-            buffered_scatter: false,
-            wc_tuples: cpu.wc_tuples,
             mutex_scheduler: false,
             split_factor: cpu.split_factor,
             extra_pass_bits: cpu.extra_pass_bits,
@@ -221,12 +215,6 @@ impl FuzzConfig {
             },
             split_factor: self.split_factor,
             extra_pass_bits: self.extra_pass_bits,
-            scatter: if self.buffered_scatter {
-                ScatterMode::Buffered
-            } else {
-                ScatterMode::Direct
-            },
-            wc_tuples: self.wc_tuples,
             scheduler: if self.mutex_scheduler {
                 SchedulerKind::Mutex
             } else {
@@ -282,8 +270,6 @@ impl FuzzConfig {
                 ),
             ),
             ("raw_radix", Json::Bool(self.raw_radix)),
-            ("buffered_scatter", Json::Bool(self.buffered_scatter)),
-            ("wc_tuples", Json::from_u64(self.wc_tuples as u64)),
             ("mutex_scheduler", Json::Bool(self.mutex_scheduler)),
             ("split_factor", Json::num(self.split_factor)),
             (
@@ -341,12 +327,6 @@ impl FuzzConfig {
         }
         if let Some(v) = b("raw_radix") {
             cfg.raw_radix = v;
-        }
-        if let Some(v) = b("buffered_scatter") {
-            cfg.buffered_scatter = v;
-        }
-        if let Some(v) = u("wc_tuples") {
-            cfg.wc_tuples = v as usize;
         }
         if let Some(v) = b("mutex_scheduler") {
             cfg.mutex_scheduler = v;
@@ -759,7 +739,21 @@ mod tests {
         };
         let text = case.to_json().to_string();
         let back = CorpusEntry::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, CorpusEntry::Join(case));
+        assert_eq!(back, CorpusEntry::Join(case.clone()));
+
+        // Entries written while the write-combining scatter knobs existed
+        // still load: unknown config keys are ignored.
+        let mut json = Json::parse(&text).unwrap();
+        let Json::Obj(fields) = &mut json else {
+            panic!("case is not an object")
+        };
+        let (_, Json::Obj(config)) = fields.iter_mut().find(|(k, _)| k == "config").unwrap() else {
+            panic!("config is not an object")
+        };
+        config.push(("buffered_scatter".into(), Json::Bool(true)));
+        config.push((concat!("wc", "_tuples").into(), Json::from_u64(16)));
+        let old = CorpusEntry::from_json(&json).unwrap();
+        assert_eq!(old, CorpusEntry::Join(case));
     }
 
     #[test]

@@ -126,8 +126,6 @@ pub fn shrink_join(case: &JoinCase, timeout: Duration, mut budget: usize) -> Joi
         try_default!(threads);
         try_default!(radix_bits);
         try_default!(raw_radix);
-        try_default!(buffered_scatter);
-        try_default!(wc_tuples);
         try_default!(mutex_scheduler);
         try_default!(split_factor);
         try_default!(extra_pass_bits);

@@ -1,7 +1,7 @@
 //! Bounded three-band priority queue with per-client round-robin fairness.
 //!
 //! Admission control's data structure: [`push`](FairQueue::push) fails fast
-//! with [`QueueFull`] when the global bound is hit (the service turns that
+//! with [`PushError::QueueFull`] when the global bound is hit (the service turns that
 //! into a typed `Rejected { retry_after }`), and
 //! [`pop`](FairQueue::pop) blocks workers until work or shutdown.
 //!

@@ -21,9 +21,9 @@
 //!
 //! A request whose memory estimate exceeds the global budget is degraded at
 //! dispatch, in order: (1) narrower radix bits, shrinking partition
-//! metadata and write-combining footprints; (2) for GPU algorithms, the
-//! simulated device memory is clamped to the budget so the executor's own
-//! ladder (`GpuResourceExhausted` → finer fan-out → CPU fallback) engages
+//! metadata; (2) for GPU algorithms, the simulated device memory is
+//! clamped to the budget so the executor's own ladder
+//! (`GpuResourceExhausted` → finer fan-out → CPU fallback) engages
 //! organically; (3) a join that cannot fit in memory even fully degraded
 //! runs out-of-core through the grace-hash spill (`spill:<bits>` rung): the
 //! working set is capped at a fraction of the budget and the relations

@@ -408,6 +408,58 @@ mod injected {
     }
 
     #[test]
+    fn spill_write_fault_at_recursion_depth_one_is_typed_and_leak_free() {
+        use skewjoin::common::hash::{mix32, radix_pass};
+        use skewjoin::cpu::{grace_join, CpuJoinConfig};
+
+        let _guard = lock();
+        let _disarm = DisarmOnDrop;
+        let scratch = scratch_parent("write-depth1");
+        faults::reset(59);
+        let bits = 2u32;
+        let fanout = 1u64 << bits;
+        // Level-0 partition 0 gets 64 keys (a pair that joins in memory);
+        // partition 3 gets 8 Ki distinct keys a side, past the 64 KiB
+        // budget, so it is re-partitioned from its run files at depth 1.
+        let keys_in = |pid: usize, n: usize| -> Vec<u32> {
+            (0u32..)
+                .filter(|&k| radix_pass(mix32(k), 0, bits) == pid)
+                .take(n)
+                .collect()
+        };
+        let keys: Vec<u32> = keys_in(0, 64).into_iter().chain(keys_in(3, 8192)).collect();
+        let (r, s) = (Relation::from_keys(&keys), Relation::from_keys(&keys));
+        let mut cfg = CpuJoinConfig::with_threads(4);
+        cfg.spill = Some(SpillConfig {
+            scratch_dir: Some(scratch.clone()),
+            partition_bits: bits,
+            ..SpillConfig::with_budget(MIN_SPILL_BUDGET)
+        });
+        // Level 0 has written every run before the join phase reloads the
+        // first pair, so arming from that pair's sink puts the fault inside
+        // partition 3's depth-1 scatter: its R side's file creates are hits
+        // 1..=fanout, its first run append on one of the four workers the
+        // next one.
+        let (err, hits) = with_deadline(60, move || {
+            let armed = std::sync::Once::new();
+            let err = grace_join(&r, &s, &cfg, |_| {
+                armed.call_once(|| faults::arm("spill.write", Schedule::OnHit(fanout + 1)));
+                CountingSink::new()
+            })
+            .map(|_| ())
+            .unwrap_err();
+            assert!(armed.is_completed(), "no pair was joined before the fault");
+            (err, faults::hits("spill.write"))
+        });
+        assert!(matches!(err, JoinError::SpillFailed(_)), "{err:?}");
+        assert!(
+            hits > fanout,
+            "fault fired before any depth-1 append: {hits} hits"
+        );
+        assert_no_scratch_leak(&scratch);
+    }
+
+    #[test]
     fn spill_fault_then_retry_completes_with_the_clean_answer() {
         // The service's retry-once rung in miniature: an OnHit fault is
         // consumed by the failing run, so re-running the same join must

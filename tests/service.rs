@@ -3,8 +3,10 @@
 //! chaos cells, and cross-layer behaviors (fairness under a flooding
 //! client, deadline enforcement through the wire).
 //!
-//! The failpoint registry is process-global, so the fault-armed tests
-//! serialize behind one mutex (same discipline as `fault_recovery.rs`).
+//! The failpoint registry is process-global: an armed service failpoint
+//! sheds or fails *any* request in the process. So every test that drives
+//! a service in this process serializes behind one mutex (same discipline
+//! as `fault_recovery.rs`), not just the fault-armed ones.
 
 use std::process::Command;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -29,6 +31,15 @@ static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits for `ticket` and returns how long its request sat in the queue.
+/// Every request in these tests must complete.
+fn queue_nanos(ticket: Ticket) -> u64 {
+    match ticket.wait().outcome {
+        Outcome::Completed(summary) => summary.queue_nanos,
+        other => panic!("every request must complete, got {other:?}"),
+    }
 }
 
 fn small_service(workers: usize, queue: usize) -> std::sync::Arc<JoinService> {
@@ -67,10 +78,11 @@ fn soak_binary_upholds_the_serving_contract() {
 
 /// A flooding client cannot starve a light one: with one worker and a
 /// hog that fills the queue first, the meek client's single request is
-/// served after at most one hog request (lane rotation), not after all of
-/// them.
+/// dequeued before some of the hog's earlier ones (lane rotation). Under
+/// FIFO every hog would leave the queue first and wait less than meek.
 #[test]
 fn fair_queue_prevents_client_starvation_through_the_service() {
+    let _guard = lock();
     let svc = small_service(1, 32);
     let csh = AlgoChoice::Fixed(Algorithm::Cpu(CpuAlgorithm::Csh));
     // Occupy the single worker so subsequent submissions queue.
@@ -79,41 +91,30 @@ fn fair_queue_prevents_client_starvation_through_the_service() {
         .map(|i| svc.submit(JoinRequest::generate("hog", csh, 8192, 0.75, 10 + i)))
         .collect();
     let meek = svc.submit(JoinRequest::generate("meek", csh, 8192, 0.75, 99));
-    let meek_id = meek.id();
     assert!(
-        hog_tickets.iter().all(|t| t.id() < meek_id),
+        hog_tickets.iter().all(|t| t.id() < meek.id()),
         "meek must have been submitted last"
     );
 
-    let _ = plug.wait();
-    let meek_resp = meek.wait();
-    assert!(
-        matches!(meek_resp.outcome, Outcome::Completed(_)),
-        "meek's request must complete, got {:?}",
-        meek_resp.outcome
-    );
-    // Rotation guarantee: when meek completed, at most one hog request can
-    // have been dequeued *after* it was enqueued... observable as: not all
-    // hogs are done before meek. Since all hogs were enqueued first, FIFO
-    // would finish all six before meek; fair rotation must not.
-    let hogs_done_before_meek = hog_tickets
-        .iter()
-        .filter(|t| t.wait_timeout(Duration::ZERO).is_some())
-        .count();
-    assert!(
-        hogs_done_before_meek < 6,
-        "all hog requests finished before the later-submitted meek request — no fairness"
-    );
-    for t in hog_tickets {
-        let _ = t.wait();
-    }
+    queue_nanos(plug);
+    let meek_queued = queue_nanos(meek);
+    let hogs_queued: Vec<u64> = hog_tickets.into_iter().map(queue_nanos).collect();
     svc.shutdown();
+    // Every hog was enqueued before meek, and the single worker dequeues
+    // one request at a time, so a hog that waited longer than meek was
+    // dequeued after it.
+    assert!(
+        hogs_queued.iter().any(|&hog| hog > meek_queued),
+        "all hog requests were dequeued before the later-submitted meek request — \
+         no fairness (meek queued {meek_queued} ns, hogs {hogs_queued:?})"
+    );
 }
 
 /// Priorities override arrival order across bands: a High request submitted
-/// after a backlog of Low requests is dequeued first.
+/// after a backlog of Low requests is dequeued before some of them.
 #[test]
 fn high_priority_jumps_the_low_band() {
+    let _guard = lock();
     let svc = small_service(1, 32);
     let csh = AlgoChoice::Fixed(Algorithm::Cpu(CpuAlgorithm::Csh));
     let plug = svc.submit(JoinRequest::generate("plug", csh, 1 << 15, 1.0, 1));
@@ -128,21 +129,17 @@ fn high_priority_jumps_the_low_band() {
     urgent.priority = Priority::High;
     let urgent_ticket = svc.submit(urgent);
 
-    let _ = plug.wait();
-    let urgent_resp = urgent_ticket.wait();
-    assert!(matches!(urgent_resp.outcome, Outcome::Completed(_)));
-    let lows_done = low_tickets
-        .iter()
-        .filter(|t| t.wait_timeout(Duration::ZERO).is_some())
-        .count();
-    assert!(
-        lows_done < 4,
-        "the urgent request should not have waited out the whole low band"
-    );
-    for t in low_tickets {
-        let _ = t.wait();
-    }
+    queue_nanos(plug);
+    let urgent_queued = queue_nanos(urgent_ticket);
+    let lows_queued: Vec<u64> = low_tickets.into_iter().map(queue_nanos).collect();
     svc.shutdown();
+    // As in the fairness test: a low request that waited longer than the
+    // later-submitted urgent one was dequeued after it.
+    assert!(
+        lows_queued.iter().any(|&low| low > urgent_queued),
+        "the urgent request waited out the whole low band \
+         (urgent queued {urgent_queued} ns, lows {lows_queued:?})"
+    );
 }
 
 /// Deadline + cancellation through the full stack: a request with an
@@ -150,6 +147,7 @@ fn high_priority_jumps_the_low_band() {
 /// boundary, and the books still balance.
 #[test]
 fn expired_deadline_cancels_with_a_named_phase() {
+    let _guard = lock();
     let svc = small_service(2, 8);
     let mut req = JoinRequest::generate(
         "t",
@@ -182,6 +180,7 @@ fn expired_deadline_cancels_with_a_named_phase() {
 /// over the wire, and the metrics op reflects it.
 #[test]
 fn tcp_auto_request_round_trips_with_metrics() {
+    let _guard = lock();
     let svc = small_service(2, 8);
     let server = protocol::serve(std::sync::Arc::clone(&svc), "127.0.0.1:0").expect("bind");
     let mut client = protocol::Client::connect(server.addr()).expect("connect");
@@ -213,6 +212,7 @@ fn tcp_auto_request_round_trips_with_metrics() {
 /// typed protocol-error response — not hang, not crash the accept loop.
 #[test]
 fn zero_length_frame_gets_a_typed_protocol_error() {
+    let _guard = lock();
     use std::io::Write;
     let svc = small_service(1, 4);
     let server = protocol::serve(std::sync::Arc::clone(&svc), "127.0.0.1:0").expect("bind");
@@ -242,6 +242,7 @@ fn zero_length_frame_gets_a_typed_protocol_error() {
 /// be parsed and served like any other request.
 #[test]
 fn frame_of_exactly_max_bytes_is_served() {
+    let _guard = lock();
     use std::io::Write;
     let svc = small_service(1, 4);
     let server = protocol::serve(std::sync::Arc::clone(&svc), "127.0.0.1:0").expect("bind");
@@ -293,6 +294,7 @@ fn inline_join_with_r(r: Json) -> Json {
 /// open: a valid join on the same stream completes afterwards.
 #[test]
 fn malformed_relation_blobs_get_typed_protocol_errors() {
+    let _guard = lock();
     let block = io::to_bytes(&Relation::from_keys(&[1, 2, 3]));
     let text = base64::encode(&block);
     let with = |at: usize, c: &str| format!("{}{c}{}", &text[..at], &text[at + 1..]);
@@ -353,6 +355,7 @@ fn malformed_relation_blobs_get_typed_protocol_errors() {
 /// 64 MiB cap.
 #[test]
 fn inline_join_of_a_million_tuples_a_side_crosses_the_wire() {
+    let _guard = lock();
     let n = 1u32 << 20;
     // Two permutations of one key set: every probe tuple matches once.
     let spread = |i: u32| i.wrapping_mul(2_654_435_761);

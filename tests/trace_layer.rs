@@ -171,10 +171,11 @@ fn skew_aware_algorithms_report_detected_keys() {
 
 #[test]
 fn scheduler_counters_are_traced_on_cpu_joins() {
-    // Every CPU join runs its partition pass through the write-combining
-    // scatter and its task loop through the scheduler, so the partition (or
-    // probe, for NPJ) phase must carry the new counters. Steal counts are
-    // load-dependent and may legitimately be zero; presence is the contract.
+    // Every partitioned CPU join runs its partition pass as pipeline morsels
+    // and its task loop through the scheduler, so a partition phase must
+    // carry the morsel count and the join (or probe, for NPJ) phase the
+    // steal counters. Steal counts are load-dependent and may legitimately
+    // be zero; presence is the contract.
     for stats in run_all() {
         let name = stats.algorithm.as_str();
         let phase_with = |c: &str| {
@@ -188,8 +189,13 @@ fn scheduler_counters_are_traced_on_cpu_joins() {
         match name {
             "Cbase" | "CSH" => {
                 assert!(
-                    phase_with(counter::BUFFER_FLUSHES).is_some(),
-                    "{name}: no phase recorded buffer_flushes"
+                    stats
+                        .trace
+                        .phases
+                        .iter()
+                        .any(|p| p.name.starts_with("partition")
+                            && p.get(counter::MORSELS) > Some(0)),
+                    "{name}: no partition phase recorded morsels"
                 );
                 assert!(
                     phase_with(counter::TASKS_STOLEN).is_some(),
