@@ -70,6 +70,15 @@ impl GpuAlgorithm {
             GpuAlgorithm::Gsh => "GSH",
         }
     }
+
+    /// The CPU algorithm this GPU join falls back to, at the same tier of
+    /// skew awareness: Gbase→Cbase, GSH→CSH.
+    pub(crate) fn cpu_twin(self) -> CpuAlgorithm {
+        match self {
+            GpuAlgorithm::Gbase => CpuAlgorithm::Cbase,
+            GpuAlgorithm::Gsh => CpuAlgorithm::Csh,
+        }
+    }
 }
 
 impl std::fmt::Display for GpuAlgorithm {
@@ -235,11 +244,25 @@ pub fn run_join_collecting<F: SinkFactory>(
             });
         }
     }
+    match algorithm {
+        Algorithm::Cpu(cpu_algo) => run_cpu(cpu_algo, r, s, &cfg.cpu, &factory),
+        Algorithm::Gpu(gpu_algo) => run_gpu_degrading(gpu_algo, r, s, cfg, &factory),
+    }
+}
+
+/// Runs one in-memory CPU join with fresh sinks from `factory`.
+fn run_cpu<F: SinkFactory>(
+    algorithm: CpuAlgorithm,
+    r: &Relation,
+    s: &Relation,
+    cfg: &CpuJoinConfig,
+    factory: &F,
+) -> Result<CollectedJoin<F::Sink>, JoinError> {
+    let make = |worker: usize| factory.make_sink(worker);
     let o = match algorithm {
-        Algorithm::Cpu(CpuAlgorithm::Cbase) => cbase_join(r, s, &cfg.cpu, make)?,
-        Algorithm::Cpu(CpuAlgorithm::CbaseNpj) => npj_join(r, s, &cfg.cpu, make)?,
-        Algorithm::Cpu(CpuAlgorithm::Csh) => csh_join(r, s, &cfg.cpu, make)?,
-        Algorithm::Gpu(gpu_algo) => return run_gpu_degrading(gpu_algo, r, s, cfg, &factory),
+        CpuAlgorithm::Cbase => cbase_join(r, s, cfg, make)?,
+        CpuAlgorithm::CbaseNpj => npj_join(r, s, cfg, make)?,
+        CpuAlgorithm::Csh => csh_join(r, s, cfg, make)?,
     };
     Ok(CollectedJoin {
         stats: o.stats,
@@ -310,23 +333,16 @@ fn run_gpu_degrading<F: SinkFactory>(
     // Rung 2: CPU fallback with the skew-awareness tier preserved. (The CPU
     // join re-checks the token at its own phase boundaries.)
     cfg.cpu.cancel.check("cpu_fallback")?;
-    let make = |worker: usize| factory.make_sink(worker);
-    let (cpu_name, cpu_result) = match algorithm {
-        GpuAlgorithm::Gbase => ("Cbase", cbase_join(r, s, &cfg.cpu, make)),
-        GpuAlgorithm::Gsh => ("CSH", csh_join(r, s, &cfg.cpu, make)),
-    };
+    let cpu_name = algorithm.cpu_twin();
     degradations.push(format!(
         "{algorithm}→{cpu_name} (gpu backend {backend}): {last_gpu_err}"
     ));
-    match cpu_result {
+    match run_cpu(cpu_name, r, s, &cfg.cpu, factory) {
         Ok(mut o) => {
             for d in degradations {
                 o.stats.trace.record_degradation(d);
             }
-            Ok(CollectedJoin {
-                stats: o.stats,
-                sinks: o.sinks,
-            })
+            Ok(o)
         }
         Err(cpu_err) => Err(JoinError::BackendUnavailable(format!(
             "GPU {algorithm} failed ({last_gpu_err}) and the CPU fallback {cpu_name} failed \

@@ -48,8 +48,8 @@ pub use api::{
     VolcanoSinkFactory,
 };
 pub use planner::{
-    estimate_join_memory, estimate_spill_cost, validate_config, CostEstimate, JoinPlan, PlanCache,
-    PlanCacheKey, PlannerOptions, SpillEstimate, TargetDevice,
+    estimate_join_memory, estimate_spill_cost, fit_to_budget, validate_config, BudgetPlan,
+    CostEstimate, JoinPlan, PlanCache, PlanCacheKey, PlannerOptions, SpillEstimate, TargetDevice,
 };
 
 // Re-export the component crates under stable names.

@@ -9,10 +9,13 @@
 //! (its task-queue machinery has marginally less overhead when no key is
 //! hot).
 //!
-//! Two serving-oriented extensions live here as well:
+//! Three serving-oriented extensions live here as well:
 //!
 //! * [`estimate_join_memory`] — a conservative per-query byte estimate the
 //!   join service's memory governor reserves against its global budget;
+//! * [`fit_to_budget`] — the governor's degradation ladder: the one
+//!   function that fits a join to the memory and disk budgets, narrowing
+//!   its radix, switching a GPU join to its CPU twin, or spilling;
 //! * [`PlanCache`] — memoized planner decisions keyed by a cheap relation
 //!   fingerprint plus size and skew buckets, so repeat queries over the
 //!   same (or look-alike) relations skip the sampling pass.
@@ -21,10 +24,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use skewjoin_common::hash::mix64;
+use skewjoin_common::hash::{mix64, RadixConfig};
 use skewjoin_common::{JoinError, JoinStats, Relation, SinkSpec, Tuple};
 use skewjoin_cpu::skew::detect_skewed_keys;
-use skewjoin_cpu::CpuJoinConfig;
+use skewjoin_cpu::{CpuJoinConfig, SpillConfig, MIN_SPILL_BUDGET};
 use skewjoin_gpu::{GpuBackendKind, GpuJoinConfig};
 
 use crate::api::{run_join, Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig};
@@ -201,8 +204,9 @@ impl CostEstimate {
 ///   power-of-two bucket array plus an 16-byte chain node per R tuple.
 /// * **Gbase / GSH** — both relations resident on the device together with
 ///   their partitioned copies, the per-partition bucket tables over the
-///   build side (~2 words per R tuple), and offset metadata per partition;
-///   the host keeps only the staging copies it already owns.
+///   build side (~2 words per R tuple), and offset metadata per partition
+///   (the fan-out the GPU join derives for this input); the host keeps only
+///   the staging copies it already owns.
 pub fn estimate_join_memory(
     algorithm: Algorithm,
     r_tuples: usize,
@@ -232,7 +236,7 @@ pub fn estimate_join_memory(
             }
         }
         Algorithm::Gpu(_) => {
-            let bits = cfg.gpu.radix.as_ref().map_or(12, |rc| rc.total_bits());
+            let bits = gpu_radix_bits(cfg, r_tuples, s_tuples);
             let partitions = 1u64 << bits.min(24);
             let device = 2 * (r + s) * tuple + 2 * r * tuple + partitions * 16;
             CostEstimate {
@@ -275,8 +279,172 @@ pub fn estimate_spill_cost(r_tuples: usize, s_tuples: usize, mem_budget: u64) ->
     let tuple = std::mem::size_of::<Tuple>() as u64;
     let level0 = (r_tuples as u64 + s_tuples as u64) * tuple;
     SpillEstimate {
-        host_bytes: mem_budget.max(skewjoin_cpu::MIN_SPILL_BUDGET),
+        host_bytes: mem_budget.max(MIN_SPILL_BUDGET),
         disk_bytes: 2 * level0,
+    }
+}
+
+/// The radix bits a GPU join of `r_tuples ⋈ s_tuples` runs with under
+/// `cfg`: the configured radix, or the fan-out it derives from the input.
+fn gpu_radix_bits(cfg: &JoinConfig, r_tuples: usize, s_tuples: usize) -> u32 {
+    cfg.gpu
+        .derived_radix(r_tuples.max(s_tuples).max(1))
+        .total_bits()
+}
+
+// ---------------------------------------------------------------------------
+// Budget fit: the governor's degradation ladder
+// ---------------------------------------------------------------------------
+
+/// Radix-bit floor the budget fit narrows a join's fan-out down to.
+const MIN_RADIX_BITS: u32 = 6;
+
+/// The bounded in-memory working set a spilled join runs under: ¾ of the
+/// memory budget, leaving headroom for the caller's own structures, floored
+/// at the grace join's minimum.
+fn spill_working_set(memory_budget: u64) -> u64 {
+    (memory_budget / 4 * 3).max(MIN_SPILL_BUDGET)
+}
+
+/// A join fitted to a memory and a scratch-disk budget by
+/// [`fit_to_budget`]: what runs, and what the caller reserves for it.
+#[derive(Debug, Clone)]
+pub struct BudgetPlan {
+    /// The algorithm that runs: the requested one, or the CPU twin of a GPU
+    /// request that does not fit.
+    pub algorithm: Algorithm,
+    /// The configuration it runs with: the request's, with any narrowed
+    /// radix or spill configuration applied.
+    pub config: JoinConfig,
+    /// Bytes to reserve from the memory budget.
+    pub memory_bytes: u64,
+    /// Bytes to reserve from the disk budget; 0 unless the plan spills.
+    pub disk_bytes: u64,
+    /// The ladder rungs taken, in order, each prefixed `governor:`. Empty
+    /// when the join fits as requested.
+    pub rungs: Vec<String>,
+}
+
+/// Fits `algorithm` over `r_tuples ⋈ s_tuples` under `cfg` to a memory and
+/// a scratch-disk budget. The first candidate whose
+/// [`estimate_join_memory`] fits the memory budget becomes the plan:
+///
+/// 1. the requested algorithm, its radix narrowed 2 bits at a time down to
+///    a floor of 6 bits. A GPU join narrows from the fan-out it derives for
+///    this input and is never set wider than that;
+/// 2. for a GPU request, its CPU twin (Gbase→Cbase, GSH→CSH), starting
+///    from the request's own CPU radix and narrowed the same way;
+/// 3. the grace-hash spill on the CPU algorithm, under a working set of ¾
+///    of the memory budget, with the scratch footprint of
+///    [`estimate_spill_cost`] reserved from the disk budget.
+///
+/// `Err` says why not even the spill fits: the memory budget is below the
+/// spill floor, or the scratch footprint exceeds the disk budget.
+pub fn fit_to_budget(
+    algorithm: Algorithm,
+    r_tuples: usize,
+    s_tuples: usize,
+    cfg: &JoinConfig,
+    memory_budget: u64,
+    disk_budget: u64,
+) -> Result<BudgetPlan, String> {
+    let cpu_algorithm = match algorithm {
+        Algorithm::Cpu(cpu) => cpu,
+        Algorithm::Gpu(gpu) => gpu.cpu_twin(),
+    };
+    let twin = (!algorithm.is_cpu()).then_some(Algorithm::Cpu(cpu_algorithm));
+    let mut rungs = Vec::new();
+    let mut floor = 0;
+    for candidate in std::iter::once(algorithm).chain(twin) {
+        if candidate != algorithm {
+            rungs.push(format!(
+                "governor: {algorithm}→{candidate} — {algorithm} estimate {floor} B exceeds \
+                 budget {memory_budget} B at its narrowest radix"
+            ));
+        }
+        match narrow_to_fit(candidate, r_tuples, s_tuples, cfg, memory_budget) {
+            Ok((config, memory_bytes, narrowed)) => {
+                rungs.extend(narrowed);
+                return Ok(BudgetPlan {
+                    algorithm: candidate,
+                    config,
+                    memory_bytes,
+                    disk_bytes: 0,
+                    rungs,
+                });
+            }
+            Err(estimate) => floor = estimate,
+        }
+    }
+
+    let working_set = spill_working_set(memory_budget);
+    if working_set > memory_budget {
+        return Err(format!(
+            "memory estimate {floor} B exceeds budget {memory_budget} B even fully degraded, \
+             and the budget is below the {MIN_SPILL_BUDGET} B spill floor"
+        ));
+    }
+    let spill_est = estimate_spill_cost(r_tuples, s_tuples, working_set);
+    if !spill_est.fits_disk(disk_budget) {
+        return Err(format!(
+            "memory estimate {floor} B exceeds budget {memory_budget} B even fully degraded, \
+             and the spill would need {} B of scratch against a {disk_budget} B disk budget",
+            spill_est.disk_bytes
+        ));
+    }
+    let spill = SpillConfig::with_budget(working_set);
+    rungs.push(format!(
+        "governor: spill:{} — floor estimate {floor} B exceeds budget {memory_budget} B; \
+         grace-hash spill under a {working_set} B working set ({} B scratch reserved)",
+        spill.partition_bits, spill_est.disk_bytes
+    ));
+    let mut config = cfg.clone();
+    config.cpu.spill = Some(spill);
+    Ok(BudgetPlan {
+        algorithm: cpu_algorithm.into(),
+        config,
+        memory_bytes: working_set,
+        disk_bytes: spill_est.disk_bytes,
+        rungs,
+    })
+}
+
+/// Narrows `algorithm`'s radix 2 bits at a time until its memory estimate
+/// fits `budget`. `Ok` carries the fitted configuration, its estimate and
+/// one rung per narrowing step; `Err` the estimate at the radix floor.
+fn narrow_to_fit(
+    algorithm: Algorithm,
+    r_tuples: usize,
+    s_tuples: usize,
+    cfg: &JoinConfig,
+    budget: u64,
+) -> Result<(JoinConfig, u64, Vec<String>), u64> {
+    let mut cfg = cfg.clone();
+    let mut rungs = Vec::new();
+    let mut bits = match algorithm {
+        // NPJ builds one global table: its estimate has no radix to narrow.
+        Algorithm::Cpu(CpuAlgorithm::CbaseNpj) => MIN_RADIX_BITS,
+        Algorithm::Cpu(_) => cfg.cpu.radix.total_bits(),
+        Algorithm::Gpu(_) => gpu_radix_bits(&cfg, r_tuples, s_tuples),
+    };
+    loop {
+        let estimate = estimate_join_memory(algorithm, r_tuples, s_tuples, &cfg).total_bytes();
+        if estimate <= budget {
+            return Ok((cfg, estimate, rungs));
+        }
+        if bits <= MIN_RADIX_BITS {
+            return Err(estimate);
+        }
+        bits = bits.saturating_sub(2).max(MIN_RADIX_BITS);
+        let radix = RadixConfig::two_pass(bits);
+        match algorithm {
+            Algorithm::Cpu(_) => cfg.cpu.radix = radix,
+            Algorithm::Gpu(_) => cfg.gpu.radix = Some(radix),
+        }
+        rungs.push(format!(
+            "governor: narrowed {algorithm} radix to {bits} bits (estimate {estimate} B > \
+             budget {budget} B)"
+        ));
     }
 }
 
@@ -582,6 +750,137 @@ mod tests {
         // join cannot run with less.
         let tiny = estimate_spill_cost(1024, 1024, 1);
         assert_eq!(tiny.host_bytes, skewjoin_cpu::MIN_SPILL_BUDGET);
+    }
+
+    #[test]
+    fn fit_to_budget_walks_the_ladder_in_order() {
+        let n = 1 << 14;
+        let mut cfg = JoinConfig::default();
+        // Enough threads that the per-thread histograms make narrowing the
+        // radix visibly cheaper.
+        cfg.cpu.threads = 64;
+        let (csh, gsh) = (
+            Algorithm::Cpu(CpuAlgorithm::Csh),
+            Algorithm::Gpu(GpuAlgorithm::Gsh),
+        );
+        let estimate =
+            |algorithm, cfg: &JoinConfig| estimate_join_memory(algorithm, n, n, cfg).total_bytes();
+        let mut narrowed = cfg.clone();
+        narrowed.cpu.radix = RadixConfig::two_pass(10);
+        let (b10, b12) = (estimate(csh, &narrowed), estimate(csh, &cfg));
+        assert!(b10 < b12 && b12 < estimate(gsh, &cfg));
+        let (big, min) = (1 << 30, MIN_SPILL_BUDGET);
+
+        // (case, algorithm, memory budget, disk budget, expected): `Ok` is
+        // the algorithm, its CPU radix bits and a fragment of the last rung
+        // ("" = no rungs at all); `Err` a fragment of the reason.
+        type Expected = Result<(Algorithm, u32, &'static str), &'static str>;
+        let cases: [(&str, Algorithm, u64, u64, Expected); 6] = [
+            ("untouched", csh, big, 0, Ok((csh, 12, ""))),
+            ("narrow", csh, b10, 0, Ok((csh, 10, "CSH radix to 10"))),
+            ("twin", gsh, b12, 0, Ok((csh, 12, "governor: GSH→CSH"))),
+            ("spill", gsh, min, big, Ok((csh, 12, "spill:6"))),
+            ("no disk", csh, min, 0, Err("disk budget")),
+            ("floor", csh, min - 1, big, Err("spill floor")),
+        ];
+        for (name, algorithm, memory, disk, expected) in cases {
+            match (fit_to_budget(algorithm, n, n, &cfg, memory, disk), expected) {
+                (Ok(plan), Ok((algorithm, bits, rung))) => {
+                    assert_eq!(plan.algorithm, algorithm, "{name}");
+                    assert_eq!(plan.config.cpu.radix.total_bits(), bits, "{name}");
+                    assert_eq!(plan.config.cpu.spill.is_some(), rung.contains("spill"));
+                    assert!(plan.memory_bytes <= memory, "{name}");
+                    let last = plan.rungs.last().map_or("", String::as_str);
+                    assert!(last.contains(rung), "{name}: {:?}", plan.rungs);
+                    if rung.is_empty() {
+                        assert!(plan.rungs.is_empty() && plan.config == cfg, "{name}");
+                    }
+                }
+                (Err(reason), Err(fragment)) => {
+                    assert!(reason.contains("budget"), "{name}: {reason}");
+                    assert!(reason.contains(fragment), "{name}: {reason}");
+                }
+                (other, _) => panic!("{name}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn gpu_plans_narrow_from_the_derived_radix_and_never_widen_it() {
+        // At 2^20 tuples the A100 profile derives 10 GPU radix bits; the
+        // CPU default (12) would have widened the fan-out.
+        let n = 1 << 20;
+        let cfg = JoinConfig::default();
+        let gsh = Algorithm::Gpu(GpuAlgorithm::Gsh);
+        let derived = cfg.gpu.derived_radix(n).total_bits();
+        assert_eq!(derived, 10);
+        let mut at_8_bits = cfg.clone();
+        at_8_bits.gpu.radix = Some(RadixConfig::two_pass(8));
+        let budget = estimate_join_memory(gsh, n, n, &at_8_bits).total_bytes();
+        let plan = fit_to_budget(gsh, n, n, &cfg, budget, 0).unwrap();
+        assert_eq!(plan.algorithm, gsh);
+        assert_eq!(plan.config.gpu.derived_radix(n).total_bits(), 8);
+        assert_eq!(plan.config.cpu, cfg.cpu, "the CPU half stays as requested");
+        assert!(plan.rungs[0].contains("narrowed GSH radix to 8 bits"));
+    }
+
+    #[test]
+    fn every_fitted_plan_stays_within_its_budgets() {
+        // Seeded sweep over (algorithm, sizes, radix, budgets).
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            state = mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            state % bound
+        };
+        let (mut spilled, mut twins, mut rejected) = (0, 0, 0);
+        for case in 0..2000 {
+            let algorithm = Algorithm::ALL[next(5) as usize];
+            let r = 1 + next(1 << 20) as usize;
+            let s = 1 + next(1 << 20) as usize;
+            let mut cfg = JoinConfig::default();
+            cfg.cpu.threads = 1 + next(16) as usize;
+            cfg.cpu.radix = RadixConfig::two_pass(2 + next(15) as u32);
+            if next(2) == 0 {
+                cfg.gpu.radix = Some(RadixConfig::two_pass(2 + next(15) as u32));
+            }
+            let memory = 1u64 << next(28);
+            let disk = if next(4) == 0 { 0 } else { 1u64 << next(32) };
+            let plan = match fit_to_budget(algorithm, r, s, &cfg, memory, disk) {
+                Ok(plan) => plan,
+                Err(reason) => {
+                    rejected += 1;
+                    assert!(reason.contains("budget"), "case {case}: {reason}");
+                    continue;
+                }
+            };
+            assert!(plan.memory_bytes <= memory, "case {case}: {plan:?}");
+            let narrowed = plan.rungs.iter().any(|rung| rung.contains("narrowed"));
+            assert!(!narrowed || algorithm.name() != "cbase-npj", "case {case}");
+            if plan.config.cpu.spill.is_some() {
+                spilled += 1;
+                assert!(plan.algorithm.is_cpu(), "case {case}: spill is CPU-only");
+                assert!(plan.disk_bytes <= disk, "case {case}: {plan:?}");
+            } else {
+                assert_eq!(plan.disk_bytes, 0, "case {case}");
+                let estimate = estimate_join_memory(plan.algorithm, r, s, &plan.config);
+                assert_eq!(plan.memory_bytes, estimate.total_bytes(), "case {case}");
+            }
+            if !plan.algorithm.is_cpu() {
+                let n = r.max(s);
+                assert!(
+                    plan.config.gpu.derived_radix(n).total_bits()
+                        <= cfg.gpu.derived_radix(n).total_bits(),
+                    "case {case}: a GPU plan widened its fan-out"
+                );
+            } else if !algorithm.is_cpu() {
+                twins += 1;
+            }
+        }
+        // The sweep reaches every rung, not just the happy path.
+        assert!(
+            spilled > 0 && twins > 0 && rejected > 0,
+            "{spilled}/{twins}/{rejected}"
+        );
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //!   budget) and data, a sim run and a host run of the same join must
 //!   produce identical per-key results — the differential oracle exercised
 //!   by the backend-parity tests.
-//! * `RealBackend` (feature `real-device`) — a stub documenting the
-//!   Vulkan/krnl-shaped seam for actual hardware; constructing it returns
-//!   [`JoinError::BackendUnavailable`].
 //!
 //! Backend selection flows through
 //! [`GpuJoinConfig::backend`](crate::GpuJoinConfig), the planner's
@@ -32,8 +29,6 @@ use skewjoin_common::JoinError;
 use skewjoin_gpu_sim::{BufferId, DeviceSpec, LaunchStats};
 
 pub mod host;
-#[cfg(feature = "real-device")]
-pub mod real;
 pub mod sim;
 
 pub use host::HostBackend;
@@ -48,10 +43,6 @@ pub enum GpuBackendKind {
     /// Host execution of the same kernels: real results, no cycle model.
     /// The differential oracle against `Sim`.
     Host,
-    /// A real device (Vulkan/krnl seam). Stub: construction fails with
-    /// [`JoinError::BackendUnavailable`] until a driver lands.
-    #[cfg(feature = "real-device")]
-    Real,
 }
 
 impl GpuBackendKind {
@@ -61,24 +52,6 @@ impl GpuBackendKind {
         match self {
             GpuBackendKind::Sim => "sim",
             GpuBackendKind::Host => "host",
-            #[cfg(feature = "real-device")]
-            GpuBackendKind::Real => "real",
-        }
-    }
-
-    /// The device limits this backend would actually enforce for a join
-    /// configured with `configured`. `Sim` and `Host` both honor the
-    /// configured spec verbatim — `Host` deliberately enforces the same
-    /// shared-memory and global-memory budgets so kernel control flow (and
-    /// therefore results) cannot diverge from the simulator. A real-device
-    /// backend would substitute limits queried from the driver here, which
-    /// is why [`crate::GpuJoinConfig::validate`] checks against this spec
-    /// rather than the configured one.
-    pub fn effective_spec(self, configured: &DeviceSpec) -> DeviceSpec {
-        match self {
-            GpuBackendKind::Sim | GpuBackendKind::Host => configured.clone(),
-            #[cfg(feature = "real-device")]
-            GpuBackendKind::Real => configured.clone(),
         }
     }
 
@@ -87,10 +60,6 @@ impl GpuBackendKind {
         match self {
             GpuBackendKind::Sim => Ok(Box::new(SimBackend::new(spec.clone()))),
             GpuBackendKind::Host => Ok(Box::new(HostBackend::new(spec.clone()))),
-            #[cfg(feature = "real-device")]
-            GpuBackendKind::Real => {
-                real::RealBackend::create(spec.clone()).map(|b| Box::new(b) as Box<dyn GpuBackend>)
-            }
         }
     }
 }
@@ -253,16 +222,6 @@ mod tests {
                 backend.spec().shared_mem_per_block,
                 spec.shared_mem_per_block
             );
-        }
-    }
-
-    #[test]
-    fn effective_spec_is_the_configured_spec_for_in_tree_backends() {
-        let spec = DeviceSpec::tiny(1 << 22);
-        for kind in [GpuBackendKind::Sim, GpuBackendKind::Host] {
-            let eff = kind.effective_spec(&spec);
-            assert_eq!(eff.shared_mem_per_block, spec.shared_mem_per_block);
-            assert_eq!(eff.global_mem_bytes, spec.global_mem_bytes);
         }
     }
 }

@@ -64,8 +64,7 @@ pub struct GpuJoinConfig {
     /// dynamic partition buffers).
     pub bucket_capacity: usize,
     /// Which [`GpuBackend`](crate::backend::GpuBackend) executes the
-    /// kernels: the simulator (default), host execution, or — feature-gated
-    /// — a real device.
+    /// kernels: the simulator (default) or host execution.
     pub backend: GpuBackendKind,
 }
 
@@ -84,19 +83,12 @@ impl Default for GpuJoinConfig {
 }
 
 impl GpuJoinConfig {
-    /// The device limits the *selected* backend will actually enforce.
-    /// For the sim and host backends this is `spec` verbatim; a real-device
-    /// backend substitutes limits queried from the driver.
-    pub fn effective_spec(&self) -> DeviceSpec {
-        self.backend.effective_spec(&self.spec)
-    }
-
     /// Tuples whose table (8 B tuple + 4 B link + 4 B bucket head each)
     /// fits the block's shared memory, rounded down to a power of two.
     pub fn derived_table_capacity(&self) -> usize {
         self.table_capacity.unwrap_or_else(|| {
             let per_tuple = 16; // 8 tuple + 4 next + 4 bucket head
-            let cap = self.effective_spec().shared_mem_per_block / per_tuple;
+            let cap = self.spec.shared_mem_per_block / per_tuple;
             (cap.max(64)).next_power_of_two() / 2
         })
     }
@@ -113,10 +105,10 @@ impl GpuJoinConfig {
         RadixConfig::two_pass(bits)
     }
 
-    /// Validates the configuration against the limits the *selected*
-    /// backend enforces (`effective_spec`), not the configured sim defaults.
+    /// Validates the configuration against the device limits in `spec`,
+    /// which both backends enforce.
     pub fn validate(&self) -> Result<(), JoinError> {
-        let spec = self.effective_spec();
+        let spec = &self.spec;
         if self.block_dim == 0
             || self.block_dim % spec.warp_size != 0
             || self.block_dim > spec.max_threads_per_block
@@ -260,10 +252,6 @@ mod tests {
         let mut host_cfg = GpuJoinConfig::default();
         host_cfg.backend = GpuBackendKind::Host;
         host_cfg.validate().unwrap();
-        assert_eq!(
-            host_cfg.effective_spec().shared_mem_per_block,
-            host_cfg.spec.shared_mem_per_block
-        );
         host_cfg.table_capacity = Some(1 << 14); // exceeds shared memory
         assert!(host_cfg.validate().is_err());
     }

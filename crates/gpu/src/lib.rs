@@ -2,7 +2,7 @@
 //!
 //! GPU hash joins written against the pluggable [`backend::GpuBackend`]
 //! API (the SIMT simulator by default, host execution as a differential
-//! oracle, and a feature-gated real-device seam):
+//! oracle):
 //!
 //! * [`gbase`] — **Gbase**, the baseline hardware-conscious GPU partitioned
 //!   hash join (Sioulas et al., ICDE 2019, the paper's \[24\]): two-pass

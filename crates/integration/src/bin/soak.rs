@@ -270,6 +270,7 @@ fn soak_one_seed(args: &SoakArgs, seed: u64) -> Vec<String> {
     let mut cancelled = 0usize;
     let mut failed = 0usize;
     let mut ladder_engagements = 0usize;
+    let mut gpu_fallbacks = 0usize;
     let mut plan_cache_hits = 0usize;
     for (request, ticket) in tickets {
         let Some(response) = ticket.wait_timeout(args.timeout) else {
@@ -285,8 +286,13 @@ fn soak_one_seed(args: &SoakArgs, seed: u64) -> Vec<String> {
         match &response.outcome {
             Outcome::Completed(summary) => {
                 completed += 1;
-                if summary.degradations.iter().any(|d| d.contains("governor")) {
+                let took = |rung: &str| summary.degradations.iter().any(|d| d.contains(rung));
+                if took("governor") {
                     ladder_engagements += 1;
+                }
+                // run_join's own GPU→CPU fallback: a GPU attempt failed.
+                if took("(gpu backend") {
+                    gpu_fallbacks += 1;
                 }
                 if summary.plan_cache_hit {
                     plan_cache_hits += 1;
@@ -396,7 +402,8 @@ fn soak_one_seed(args: &SoakArgs, seed: u64) -> Vec<String> {
 
     println!(
         "  seed {seed}: {completed} completed ({ladder_engagements} via governor ladder, \
-         {plan_cache_hits} plan-cache hits), {rejected} rejected, {cancelled} cancelled, \
+         {gpu_fallbacks} via GPU fallback, {plan_cache_hits} plan-cache hits), {rejected} \
+         rejected, {cancelled} cancelled, \
          {failed} failed; {memory_waits} memory waits; {spilled} spilled; \
          peak {peak}/{budget} B; wall {:?}",
         started.elapsed()

@@ -1,9 +1,10 @@
 //! The memory governor: a global byte budget that every admitted query
 //! reserves its estimated footprint against before executing.
 //!
-//! Estimates come from [`skewjoin::planner::estimate_join_memory`] — a
-//! deliberate over-approximation, so the governor queues queries that might
-//! have squeaked by rather than admitting one that OOMs the process.
+//! Reservation sizes come from the plan [`skewjoin::planner::fit_to_budget`]
+//! returns, priced by `estimate_join_memory` — a deliberate
+//! over-approximation, so the governor queues queries that might have
+//! squeaked by rather than admitting one that OOMs the process.
 //! Reservations are RAII: dropping a [`Reservation`] releases the bytes and
 //! wakes waiters, so no error path can leak budget.
 //!

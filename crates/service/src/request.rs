@@ -436,8 +436,8 @@ pub struct JoinSummary {
     /// Time spent queued before a worker picked the request up, in
     /// nanoseconds.
     pub queue_nanos: u64,
-    /// Degradation-ladder rungs taken, service-level decisions first (e.g.
-    /// a governor-forced device clamp), then the executor's own records.
+    /// Degradation-ladder rungs taken, the governor's budget fit first
+    /// (`governor:` entries), then the executor's own records.
     pub degradations: Vec<String>,
     /// Whether the planner decision came from the plan cache.
     pub plan_cache_hit: bool,

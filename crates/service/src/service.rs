@@ -19,19 +19,19 @@
 //!
 //! ## Degradation ladder
 //!
-//! A request whose memory estimate exceeds the global budget is degraded at
-//! dispatch, in order: (1) narrower radix bits, shrinking partition
-//! metadata; (2) for GPU algorithms, the simulated device memory is
-//! clamped to the budget so the executor's own ladder
-//! (`GpuResourceExhausted` → finer fan-out → CPU fallback) engages
-//! organically; (3) a join that cannot fit in memory even fully degraded
-//! runs out-of-core through the grace-hash spill (`spill:<bits>` rung): the
-//! working set is capped at a fraction of the budget and the relations
-//! stream through scratch disk reserved from the governor's disk pool;
-//! (4) only a request whose *spill* is also infeasible (scratch footprint
-//! over the disk budget, or a memory budget below the spill floor) is
-//! rejected *at admission*, before it occupies queue space. Every rung
-//! taken is reported in the response's `degradations`.
+//! One function decides how a request fits the governor's budgets:
+//! [`skewjoin::planner::fit_to_budget`]. `submit` calls it to shed a
+//! request that cannot fit at all; `execute` calls it again on the
+//! resolved algorithm and reserves exactly what the returned plan says.
+//! The ladder, in order: (1) the requested algorithm with its radix
+//! narrowed down to a 6-bit floor; (2) for a GPU request, its CPU twin
+//! (Gbase→Cbase, GSH→CSH) at the request's own radix, so an over-budget
+//! GPU join never reaches the device; (3) the grace-hash spill
+//! (`spill:<bits>` rung) under ¾ of the memory budget, with its scratch
+//! footprint reserved from the disk pool. A request whose spill is also
+//! infeasible is rejected at admission. Every rung taken is reported in
+//! the response's `degradations`, ahead of the executor's own entries
+//! (`run_join`'s GPU ladder still handles device exhaustion at run time).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -40,21 +40,17 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skewjoin::common::hash::RadixConfig;
 use skewjoin::common::json::Json;
 use skewjoin::common::metrics::{default_latency_bounds_micros, MetricsRegistry};
 use skewjoin::common::sink::merge_key_counts;
 use skewjoin::common::{
     faults, CancelToken, JoinError, JoinStats, Key, KeyCountSink, Relation, SinkSpec,
 };
-use skewjoin::cpu::{SpillConfig, MIN_SPILL_BUDGET};
-use skewjoin::planner::{
-    estimate_join_memory, estimate_spill_cost, PlanCache, PlannerOptions, TargetDevice,
-};
+use skewjoin::planner::{fit_to_budget, BudgetPlan, PlanCache, PlannerOptions, TargetDevice};
 use skewjoin::{run_join, run_shard_join, Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig};
 use skewjoin_datagen::{PaperWorkload, WorkloadSpec};
 
-use crate::governor::{MemoryGovernor, ReserveError};
+use crate::governor::{MemoryGovernor, Reservation, ReserveError};
 use crate::queue::{FairQueue, PushError};
 use crate::request::{
     AlgoChoice, JoinRequest, JoinResponse, JoinSummary, Outcome, RequestId, RequestPayload,
@@ -66,9 +62,6 @@ pub const FAILPOINT_ADMIT: &str = "service.admit";
 /// Failpoint hit once per dequeued request, before execution. Arming it
 /// injects typed `Failed` outcomes.
 pub const FAILPOINT_EXECUTE: &str = "service.execute";
-
-/// Radix-bit floor the governor's narrowing rung stops at.
-const MIN_RADIX_BITS: u32 = 6;
 
 /// Service deployment knobs.
 #[derive(Debug, Clone)]
@@ -227,10 +220,20 @@ impl JoinService {
             return ticket;
         }
 
-        // Budget-infeasibility is an *admission* decision: a request whose
-        // fully-degraded footprint exceeds memory *and* cannot spill would
-        // only ever occupy queue space before failing, so it is shed here.
-        if let Err(reason) = self.fits_budget_degraded(&request) {
+        // Budget infeasibility is an *admission* decision: a request that
+        // cannot fit even fully degraded would only occupy queue space
+        // before failing, so it is shed here. `Auto` requests are fitted as
+        // the skew-conscious join of their device, whose estimate the
+        // baseline shares.
+        let algorithm = match request.algo {
+            AlgoChoice::Fixed(a) => a,
+            AlgoChoice::Auto(TargetDevice::Cpu) => Algorithm::Cpu(CpuAlgorithm::Csh),
+            AlgoChoice::Auto(TargetDevice::Gpu) => Algorithm::Gpu(GpuAlgorithm::Gsh),
+        };
+        let cfg = request.config.as_ref().unwrap_or(&shared.cfg.join_config);
+        let (r_tuples, s_tuples) = (request.payload.r_tuples(), request.payload.s_tuples());
+        let (memory, disk) = (shared.cfg.memory_budget, shared.cfg.disk_budget);
+        if let Err(reason) = fit_to_budget(algorithm, r_tuples, s_tuples, cfg, memory, disk) {
             reject(reason, self.retry_after());
             return ticket;
         }
@@ -402,74 +405,6 @@ impl JoinService {
             self.shared.governor.waiters(),
         )
     }
-
-    /// `Ok` if the request fits the budget after every degradation rung
-    /// (narrowest radix, CPU fallback, grace-hash spill); `Err(reason)`
-    /// otherwise.
-    fn fits_budget_degraded(&self, request: &JoinRequest) -> Result<(), String> {
-        let cfg = &self.shared.cfg;
-        let algorithm = match request.algo {
-            AlgoChoice::Fixed(a) => a,
-            AlgoChoice::Auto(TargetDevice::Cpu) => Algorithm::Cpu(CpuAlgorithm::Csh),
-            AlgoChoice::Auto(TargetDevice::Gpu) => Algorithm::Gpu(GpuAlgorithm::Gsh),
-        };
-        // The floor of the ladder is the CPU (fallback) algorithm at the
-        // narrowest fan-out.
-        let floor_algo = Algorithm::Cpu(match algorithm {
-            Algorithm::Cpu(a) => a,
-            Algorithm::Gpu(GpuAlgorithm::Gbase) => CpuAlgorithm::Cbase,
-            Algorithm::Gpu(GpuAlgorithm::Gsh) => CpuAlgorithm::Csh,
-        });
-        let mut floor_cfg = request
-            .config
-            .clone()
-            .unwrap_or_else(|| cfg.join_config.clone());
-        floor_cfg.cpu.radix = RadixConfig::two_pass(MIN_RADIX_BITS);
-        let est = estimate_join_memory(
-            floor_algo,
-            request.payload.r_tuples(),
-            request.payload.s_tuples(),
-            &floor_cfg,
-        );
-        if est.total_bytes() <= cfg.memory_budget {
-            return Ok(());
-        }
-        // The in-memory floor does not fit; the spill rung is the last
-        // resort. It needs a working set of at least MIN_SPILL_BUDGET from
-        // the memory budget and the scratch footprint from the disk budget.
-        let spill_budget = spill_working_set(cfg.memory_budget);
-        let spill_est = estimate_spill_cost(
-            request.payload.r_tuples(),
-            request.payload.s_tuples(),
-            spill_budget,
-        );
-        if spill_budget > cfg.memory_budget {
-            return Err(format!(
-                "memory estimate {} B exceeds budget {} B even fully degraded, and the budget \
-                 is below the {MIN_SPILL_BUDGET} B spill floor",
-                est.total_bytes(),
-                cfg.memory_budget
-            ));
-        }
-        if !spill_est.fits_disk(cfg.disk_budget) {
-            return Err(format!(
-                "memory estimate {} B exceeds budget {} B even fully degraded, and the spill \
-                 would need {} B of scratch against a {} B disk budget",
-                est.total_bytes(),
-                cfg.memory_budget,
-                spill_est.disk_bytes,
-                cfg.disk_budget
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The bounded in-memory working set a spilled join runs under: most of the
-/// budget, leaving headroom for the service's own structures, floored at
-/// the grace join's minimum.
-fn spill_working_set(memory_budget: u64) -> u64 {
-    (memory_budget / 4 * 3).max(MIN_SPILL_BUDGET)
 }
 
 /// Backoff hint from the two congestion signals a rejected client cares
@@ -575,11 +510,11 @@ fn execute(shared: &Arc<Shared>, pending: Pending) {
     };
 
     // Resolve the algorithm (plan cache for Auto requests).
-    let mut cfg = request
+    let cfg = request
         .config
         .clone()
         .unwrap_or_else(|| shared.cfg.join_config.clone());
-    let (mut algorithm, plan_cache_hit) = match request.algo {
+    let (algorithm, plan_cache_hit) = match request.algo {
         AlgoChoice::Fixed(a) => (a, false),
         AlgoChoice::Auto(device) => {
             let opts = PlannerOptions {
@@ -592,170 +527,49 @@ fn execute(shared: &Arc<Shared>, pending: Pending) {
         }
     };
 
-    // Memory-governor degradation ladder (see module docs).
-    let mut degradations: Vec<String> = Vec::new();
-    let budget = shared.governor.budget();
-    let mut est = estimate_join_memory(algorithm, r.len(), s.len(), &cfg);
-    while est.total_bytes() > budget && cfg.cpu.radix.total_bits() > MIN_RADIX_BITS {
-        let narrower = cfg
-            .cpu
-            .radix
-            .total_bits()
-            .saturating_sub(2)
-            .max(MIN_RADIX_BITS);
-        cfg.cpu.radix = RadixConfig::two_pass(narrower);
-        if !algorithm.is_cpu() {
-            cfg.gpu.radix = Some(RadixConfig::two_pass(narrower));
-        }
-        degradations.push(format!(
-            "governor: narrowed radix to {narrower} bits (estimate {} B > budget {budget} B)",
-            est.total_bytes()
-        ));
-        est = estimate_join_memory(algorithm, r.len(), s.len(), &cfg);
-    }
-    if est.total_bytes() > budget {
-        if let Algorithm::Gpu(gpu_algo) = algorithm {
-            // The CPU fallback is what admission guaranteed feasible, so
-            // its reservation is earmarked first; the GPU attempt only
-            // gets the slack. A too-small grant raises
-            // GpuResourceExhausted inside the simulator and the
-            // executor's own ladder (finer fan-out, then CPU fallback)
-            // takes over organically.
-            let fallback = Algorithm::Cpu(match gpu_algo {
-                GpuAlgorithm::Gbase => CpuAlgorithm::Cbase,
-                GpuAlgorithm::Gsh => CpuAlgorithm::Csh,
-            });
-            let fallback_est = estimate_join_memory(fallback, r.len(), s.len(), &cfg);
-            let slack = budget
-                .saturating_sub(fallback_est.total_bytes())
-                .max(1 << 10);
-            cfg.gpu.spec.global_mem_bytes = cfg.gpu.spec.global_mem_bytes.min(slack as usize);
-            degradations.push(format!(
-                "governor: clamped device memory to {} B; relying on the {gpu_algo} \
-                 degradation ladder",
-                cfg.gpu.spec.global_mem_bytes
-            ));
-            est = fallback_est;
-        }
-    }
-
-    // Spill rung: when even the fully-degraded in-memory floor cannot fit,
-    // the join runs out-of-core through the grace-hash spill — a bounded
-    // working set from the memory budget, the relations streamed through
-    // scratch disk reserved from the governor's disk pool. GPU algorithms
-    // switch to their CPU counterpart first (the spill path is CPU-only).
-    let mut reserve_bytes = est.total_bytes();
-    let mut spill_disk_bytes = 0u64;
-    if est.total_bytes() > budget {
-        let spill_budget = spill_working_set(budget);
-        let spill_est = estimate_spill_cost(r.len(), s.len(), spill_budget);
-        if spill_budget <= budget && spill_est.fits_disk(shared.governor.disk_budget()) {
-            if let Algorithm::Gpu(gpu_algo) = algorithm {
-                let fallback = Algorithm::Cpu(match gpu_algo {
-                    GpuAlgorithm::Gbase => CpuAlgorithm::Cbase,
-                    GpuAlgorithm::Gsh => CpuAlgorithm::Csh,
-                });
-                degradations.push(format!(
-                    "governor: {gpu_algo}→{} — out-of-core execution is CPU-only",
-                    fallback.name()
-                ));
-                algorithm = fallback;
-            }
-            let spill = SpillConfig {
-                scratch_dir: shared.cfg.scratch_dir.clone(),
-                ..SpillConfig::with_budget(spill_budget)
-            };
-            degradations.push(format!(
-                "governor: spill:{} — floor estimate {} B exceeds budget {budget} B; \
-                 grace-hash spill under a {spill_budget} B working set \
-                 ({} B scratch reserved)",
-                spill.partition_bits,
-                est.total_bytes(),
-                spill_est.disk_bytes
-            ));
-            cfg.cpu.spill = Some(spill);
-            shared.metrics.counter("service.spilled").inc();
-            reserve_bytes = spill_budget;
-            spill_disk_bytes = spill_est.disk_bytes;
-        }
-        // If the spill is infeasible too, fall through: the memory
-        // reservation below fails typed (admission should have shed this).
-    }
-
-    // Reserve; blocks (queuing under memory pressure) until space frees or
-    // the deadline/cancel fires. `service.memory_waits` counts requests
-    // that could not reserve immediately — the observable for "the budget
-    // forced queuing".
-    let reservation = match shared.governor.try_reserve(reserve_bytes) {
-        Some(res) => Ok(res),
-        None => {
-            shared.metrics.counter("service.memory_waits").inc();
-            shared.governor.reserve(reserve_bytes, &cancel)
-        }
+    // The governor's degradation ladder (see module docs). Admission already
+    // shed what cannot fit; an `Err` here is estimate drift, kept typed.
+    let (memory, disk) = (shared.cfg.memory_budget, shared.cfg.disk_budget);
+    let BudgetPlan {
+        algorithm,
+        config: mut cfg,
+        memory_bytes,
+        disk_bytes,
+        rungs: degradations,
+    } = match fit_to_budget(algorithm, r.len(), s.len(), &cfg, memory, disk) {
+        Ok(plan) => plan,
+        Err(error) => return finish(shared, id, &tx, Outcome::Failed { error }),
     };
-    let reservation = match reservation {
+    if let Some(spill) = &mut cfg.cpu.spill {
+        spill.scratch_dir = shared.cfg.scratch_dir.clone();
+        shared.metrics.counter("service.spilled").inc();
+    }
+
+    // Reserve memory, then (for a spilled join) scratch disk — the same
+    // order everywhere, so no lock-order inversion. Each blocks (queuing
+    // under pressure) until space frees or the deadline/cancel fires;
+    // `service.memory_waits` / `service.disk_waits` count requests that
+    // could not reserve immediately — the observable for "the budget
+    // forced queuing". Both reservations are held for the whole run.
+    let governor = &shared.governor;
+    let reservation = match reserve_counting(
+        shared,
+        "service.memory_waits",
+        governor.try_reserve(memory_bytes),
+        || governor.reserve(memory_bytes, &cancel),
+    ) {
         Ok(res) => res,
-        Err(ReserveError::Cancelled) => {
-            return finish(
-                shared,
-                id,
-                &tx,
-                Outcome::Cancelled {
-                    phase: "memory_wait".into(),
-                },
-            );
-        }
-        Err(ReserveError::ExceedsBudget { requested, budget }) => {
-            // Admission-time feasibility should have shed this; keep it a
-            // typed failure rather than a panic if an estimate drifts.
-            return finish(
-                shared,
-                id,
-                &tx,
-                Outcome::Failed {
-                    error: format!(
-                        "memory estimate {requested} B exceeds budget {budget} B post-degradation"
-                    ),
-                },
-            );
-        }
+        Err(e) => return finish(shared, id, &tx, reserve_failure(e, "memory_wait")),
     };
-
-    // The scratch-disk reservation for a spilled join, held (like the
-    // memory reservation) for the duration of the run. Taken second, after
-    // memory, in the same order everywhere — no lock-order inversion.
-    let disk_reservation = if spill_disk_bytes > 0 {
-        match shared.governor.try_reserve_disk(spill_disk_bytes) {
-            Some(res) => Some(res),
-            None => {
-                shared.metrics.counter("service.disk_waits").inc();
-                match shared.governor.reserve_disk(spill_disk_bytes, &cancel) {
-                    Ok(res) => Some(res),
-                    Err(ReserveError::Cancelled) => {
-                        return finish(
-                            shared,
-                            id,
-                            &tx,
-                            Outcome::Cancelled {
-                                phase: "disk_wait".into(),
-                            },
-                        );
-                    }
-                    Err(ReserveError::ExceedsBudget { requested, budget }) => {
-                        return finish(
-                            shared,
-                            id,
-                            &tx,
-                            Outcome::Failed {
-                                error: format!(
-                                    "spill scratch estimate {requested} B exceeds disk budget \
-                                     {budget} B post-degradation"
-                                ),
-                            },
-                        );
-                    }
-                }
-            }
+    let disk_reservation = if disk_bytes > 0 {
+        match reserve_counting(
+            shared,
+            "service.disk_waits",
+            governor.try_reserve_disk(disk_bytes),
+            || governor.reserve_disk(disk_bytes, &cancel),
+        ) {
+            Ok(res) => Some(res),
+            Err(e) => return finish(shared, id, &tx, reserve_failure(e, "disk_wait")),
         }
     } else {
         None
@@ -829,6 +643,35 @@ fn execute(shared: &Arc<Shared>, pending: Pending) {
         },
     };
     finish(shared, id, &tx, outcome);
+}
+
+/// Returns the immediate reservation if there was one; otherwise counts a
+/// wait in `waits` and blocks in `wait`.
+fn reserve_counting(
+    shared: &Shared,
+    waits: &str,
+    immediate: Option<Reservation>,
+    wait: impl FnOnce() -> Result<Reservation, ReserveError>,
+) -> Result<Reservation, ReserveError> {
+    immediate.map(Ok).unwrap_or_else(|| {
+        shared.metrics.counter(waits).inc();
+        wait()
+    })
+}
+
+/// The outcome of a reservation that could not be taken while waiting in
+/// `phase`.
+fn reserve_failure(err: ReserveError, phase: &str) -> Outcome {
+    match err {
+        ReserveError::Cancelled => Outcome::Cancelled {
+            phase: phase.into(),
+        },
+        // The fitted plan never reserves more than a budget; keep it a
+        // typed failure rather than a panic if that ever drifts.
+        ReserveError::ExceedsBudget { requested, budget } => Outcome::Failed {
+            error: format!("reservation of {requested} B exceeds the {budget} B budget"),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -1079,12 +922,11 @@ mod tests {
 
     #[test]
     fn governor_forces_gpu_ladder_under_tight_budget() {
-        // Budget fits the CPU fallback but not the GPU estimate: the
-        // service clamps device memory and the executor ladder lands on
-        // the CPU, recording every rung.
+        // Budget fits the CPU twin but not the GPU estimate: the governor
+        // plans CSH up front, so the GPU is never attempted.
         // At 16 Ki tuples/side the CPU estimate is ≈790 KB and the GPU
-        // estimate ≈1.4 MB, so this budget admits the request (CPU floor
-        // fits) but forces the GPU ladder.
+        // estimate ≈1.05 MB (at the 4 radix bits GSH derives there), so
+        // this budget admits the request but rules out the GPU.
         let tuples = 1 << 14;
         let budget = 1_000_000;
         let svc = small_service(1, 8, budget);
@@ -1105,6 +947,14 @@ mod tests {
                     summary.degradations
                 );
                 assert_eq!(summary.algorithm, "CSH", "expected the CPU fallback");
+                // No entry from run_join's own GPU ladder: neither the radix
+                // retry nor the GPU→CPU fallback, so no GPU attempt failed.
+                let gpu_ladder: Vec<&String> = summary
+                    .degradations
+                    .iter()
+                    .filter(|d| d.contains("backend: retrying with") || d.contains("(gpu backend"))
+                    .collect();
+                assert!(gpu_ladder.is_empty(), "GPU attempted: {gpu_ladder:?}");
             }
             other => panic!("expected completion via ladder, got {other:?}"),
         }
