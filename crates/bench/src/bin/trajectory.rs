@@ -86,8 +86,8 @@ struct Entry {
     phase: String,
     seconds: f64,
     tuples_per_sec: f64,
-    /// The GPU degradation ladder fired (the number is really a CPU
-    /// fallback's); excluded from regression comparisons.
+    /// The join degraded (for a GPU join the number is really its CPU
+    /// twin's); excluded from regression comparisons.
     degraded: bool,
 }
 
@@ -212,7 +212,13 @@ fn measure(
         eprintln!(
             "warning: {algorithm} zipf {} degraded ({}); excluded from --check",
             point.zipf,
-            stats.trace.degradations.join("; ")
+            stats
+                .trace
+                .degradations
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("; ")
         );
     }
     // Throughput counts both inputs: a join that consumed R and S in `t`

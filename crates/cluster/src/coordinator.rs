@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use skewjoin::common::{Key, Relation, Trace};
+use skewjoin::common::{Key, Relation, Rung, Trace};
 use skewjoin::cpu::{BuildRoute, ShardRouter, SkewDetectConfig};
 use skewjoin::ShardPartition;
 use skewjoin_service::{
@@ -214,8 +214,8 @@ pub struct ClusterJoin {
     pub reassigned: u64,
     /// Shards that died during the join.
     pub dead_shards: usize,
-    /// Degradation rungs reported by the shards, prefixed with their slot.
-    pub degradations: Vec<String>,
+    /// Degradation rungs reported by the shards, each with its shard slot.
+    pub degradations: Vec<(usize, Rung)>,
 }
 
 /// One self-contained shard task travelling through the dispatch queue.
@@ -439,12 +439,9 @@ impl Coordinator {
             if let Some(trace) = &summary.trace {
                 merged.trace.merge(trace);
             }
-            merged.degradations.extend(
-                summary
-                    .degradations
-                    .iter()
-                    .map(|d| format!("shard {slot}: {d}")),
-            );
+            merged
+                .degradations
+                .extend(summary.degradations.into_iter().map(|d| (slot, d)));
         }
         let t = &mut merged.trace;
         t.set("cluster", "shards", shards as u64);

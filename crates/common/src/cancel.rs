@@ -2,9 +2,9 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle the service layer hands to
 //! a join execution. The join checks it **at phase boundaries** — between
-//! skew detection, partitioning, and the join phase on the CPU, and between
-//! degradation-ladder rungs in the unified `run_join` front door — and bails
-//! out with [`crate::JoinError::Cancelled`] naming the phase it was about to
+//! skew detection, partitioning, and the join phase on the CPU, and in the
+//! unified `run_join` front door before a GPU launch (`gpu_execute`) and
+//! before a GPU join's CPU fallback (`cpu_fallback`) — and bails out with [`crate::JoinError::Cancelled`] naming the phase it was about to
 //! enter. The CPU probe loops additionally poll [`CancelToken::is_cancelled`]
 //! every ~1024 probe tuples, because a skew-degenerate chained table can make
 //! a single probe phase run for minutes; a cancel observed mid-phase discards

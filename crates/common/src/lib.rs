@@ -38,5 +38,5 @@ pub use sink::{
     SinkSpec, VolcanoSink, VolcanoSinkFactory,
 };
 pub use stats::{JoinStats, PhaseTimes};
-pub use trace::{PhaseTrace, SkewedKey, Trace};
+pub use trace::{PhaseTrace, Rung, SkewedKey, Trace, TwinCause};
 pub use tuple::{Key, Payload, Relation, Tuple};

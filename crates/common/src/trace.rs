@@ -12,6 +12,11 @@
 //! Counters are deliberately an open vocabulary (`&str` names) so each
 //! algorithm can record phase-specific detail, but the shared names in
 //! [`counter`] are used by every algorithm for cross-comparable totals.
+//!
+//! Degradations are the opposite: a closed vocabulary. Every decision that
+//! runs a join differently from how it was asked for is one [`Rung`]
+//! variant, rendered to text by its `Display` impl alone and carried over
+//! the wire by one JSON codec, so callers match variants, never wording.
 
 use crate::json::Json;
 use crate::tuple::Key;
@@ -82,6 +87,325 @@ pub struct SkewedKey {
     pub frequency: u64,
 }
 
+/// Why a GPU join ran as its CPU twin.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TwinCause {
+    /// Planned before running: the GPU estimate at its narrowest radix
+    /// exceeds the memory budget, so the GPU is never attempted.
+    Budget {
+        /// The GPU join's memory estimate, in bytes.
+        estimate: u64,
+        /// The memory budget, in bytes.
+        budget: u64,
+    },
+    /// Taken at run time: the device ran out of a resource.
+    Device {
+        /// The GPU backend that was executing (`sim` or `host`).
+        backend: String,
+        /// The device's `GpuResourceExhausted` error, rendered.
+        error: String,
+    },
+}
+
+/// One degradation decision: a join ran differently from how it was asked
+/// for, and still completed. Recorded in [`Trace::degradations`] in the
+/// order the decisions were made.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rung {
+    /// The budget fit narrowed `algorithm`'s radix to `bits` because its
+    /// memory estimate exceeded the budget.
+    NarrowedRadix {
+        /// Display name of the narrowed algorithm.
+        algorithm: String,
+        /// Total radix bits after narrowing.
+        bits: u32,
+        /// The memory estimate before this narrowing step, in bytes.
+        estimate: u64,
+        /// The memory budget, in bytes.
+        budget: u64,
+    },
+    /// The GPU join `gpu` ran as its CPU twin `cpu` (Gbase→Cbase,
+    /// GSH→CSH).
+    CpuTwin {
+        /// Display name of the requested GPU join.
+        gpu: String,
+        /// Display name of the CPU join that ran instead.
+        cpu: String,
+        /// What sent the join to the CPU.
+        cause: TwinCause,
+    },
+    /// The budget fit sent the join through the grace-hash spill.
+    Spill {
+        /// Radix bits of the spill's level-0 partitioning.
+        partition_bits: u32,
+        /// The in-memory floor estimate that did not fit, in bytes.
+        estimate: u64,
+        /// The memory budget, in bytes.
+        budget: u64,
+        /// The spill's in-memory working set, in bytes.
+        working_set: u64,
+        /// Scratch-disk bytes reserved for the spill.
+        scratch_bytes: u64,
+    },
+    /// A spilled join failed with `SpillFailed`; the service's one retry
+    /// succeeded.
+    SpillRetry {
+        /// The first attempt's error, rendered.
+        error: String,
+    },
+    /// A spilled partition pair still exceeded the budget at the recursion
+    /// cap and was joined by NM block decomposition.
+    NmDecomposition {
+        /// Index of the partition at its level.
+        partition: u64,
+        /// Build-side tuples in the pair.
+        r_tuples: u64,
+        /// Probe-side tuples in the pair.
+        s_tuples: u64,
+        /// Recursion depth the pair was pinned at.
+        depth: u32,
+        /// The configured recursion cap.
+        cap: u32,
+    },
+    /// Removing spill scratch failed; the scratch guard removes it later.
+    ScratchRemoval {
+        /// `true` for a recursion level's directory, `false` for the
+        /// join's whole scratch directory.
+        sub_level: bool,
+        /// The removal error, rendered.
+        error: String,
+    },
+}
+
+impl std::fmt::Display for Rung {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rung::NarrowedRadix {
+                algorithm,
+                bits,
+                estimate,
+                budget,
+            } => write!(
+                f,
+                "governor: narrowed {algorithm} radix to {bits} bits (estimate {estimate} B > \
+                 budget {budget} B)"
+            ),
+            Rung::CpuTwin {
+                gpu,
+                cpu,
+                cause: TwinCause::Budget { estimate, budget },
+            } => write!(
+                f,
+                "governor: {gpu}→{cpu} — {gpu} estimate {estimate} B exceeds budget {budget} B \
+                 at its narrowest radix"
+            ),
+            Rung::CpuTwin {
+                gpu,
+                cpu,
+                cause: TwinCause::Device { backend, error },
+            } => write!(f, "{gpu}→{cpu} (gpu backend {backend}): {error}"),
+            Rung::Spill {
+                partition_bits,
+                estimate,
+                budget,
+                working_set,
+                scratch_bytes,
+            } => write!(
+                f,
+                "governor: spill:{partition_bits} — floor estimate {estimate} B exceeds budget \
+                 {budget} B; grace-hash spill under a {working_set} B working set \
+                 ({scratch_bytes} B scratch reserved)"
+            ),
+            Rung::SpillRetry { error } => write!(f, "spill retry succeeded after: {error}"),
+            Rung::NmDecomposition {
+                partition,
+                r_tuples,
+                s_tuples,
+                depth,
+                cap,
+            } => write!(
+                f,
+                "spill: partition {partition} ({r_tuples} R + {s_tuples} S tuples) pinned at \
+                 recursion depth {depth} (cap {cap}); NM decomposition"
+            ),
+            Rung::ScratchRemoval {
+                sub_level: true,
+                error,
+            } => write!(
+                f,
+                "spill: sub-level removal failed ({error}); deferred to guard"
+            ),
+            Rung::ScratchRemoval {
+                sub_level: false,
+                error,
+            } => write!(
+                f,
+                "spill: scratch removal failed ({error}); retried by guard"
+            ),
+        }
+    }
+}
+
+impl Rung {
+    /// Serializes the rung as one JSON object: its `kind` tag plus its
+    /// fields under their Rust names (a [`TwinCause`] adds `cause` and the
+    /// cause's fields).
+    pub fn to_json(&self) -> Json {
+        let text = |s: &String| Json::str(s);
+        let num = Json::from_u64;
+        let (kind, fields) = match self {
+            Rung::NarrowedRadix {
+                algorithm,
+                bits,
+                estimate,
+                budget,
+            } => (
+                "narrowed_radix",
+                vec![
+                    ("algorithm", text(algorithm)),
+                    ("bits", num(u64::from(*bits))),
+                    ("estimate", num(*estimate)),
+                    ("budget", num(*budget)),
+                ],
+            ),
+            Rung::CpuTwin { gpu, cpu, cause } => {
+                let mut fields = vec![("gpu", text(gpu)), ("cpu", text(cpu))];
+                match cause {
+                    TwinCause::Budget { estimate, budget } => fields.extend([
+                        ("cause", Json::str("budget")),
+                        ("estimate", num(*estimate)),
+                        ("budget", num(*budget)),
+                    ]),
+                    TwinCause::Device { backend, error } => fields.extend([
+                        ("cause", Json::str("device")),
+                        ("backend", text(backend)),
+                        ("error", text(error)),
+                    ]),
+                }
+                ("cpu_twin", fields)
+            }
+            Rung::Spill {
+                partition_bits,
+                estimate,
+                budget,
+                working_set,
+                scratch_bytes,
+            } => (
+                "spill",
+                vec![
+                    ("partition_bits", num(u64::from(*partition_bits))),
+                    ("estimate", num(*estimate)),
+                    ("budget", num(*budget)),
+                    ("working_set", num(*working_set)),
+                    ("scratch_bytes", num(*scratch_bytes)),
+                ],
+            ),
+            Rung::SpillRetry { error } => ("spill_retry", vec![("error", text(error))]),
+            Rung::NmDecomposition {
+                partition,
+                r_tuples,
+                s_tuples,
+                depth,
+                cap,
+            } => (
+                "nm_decomposition",
+                vec![
+                    ("partition", num(*partition)),
+                    ("r_tuples", num(*r_tuples)),
+                    ("s_tuples", num(*s_tuples)),
+                    ("depth", num(u64::from(*depth))),
+                    ("cap", num(u64::from(*cap))),
+                ],
+            ),
+            Rung::ScratchRemoval { sub_level, error } => (
+                "scratch_removal",
+                vec![
+                    ("sub_level", Json::Bool(*sub_level)),
+                    ("error", text(error)),
+                ],
+            ),
+        };
+        let mut pairs = vec![("kind", Json::str(kind))];
+        pairs.extend(fields);
+        Json::obj(pairs)
+    }
+
+    /// Parses the object [`Rung::to_json`] writes. `Err` names the unknown
+    /// kind or the missing or mistyped field.
+    pub fn from_json(json: &Json) -> Result<Rung, String> {
+        let kind = json
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or("rung needs a string \"kind\"")?;
+        let field = |name: &str| {
+            json.get(name)
+                .ok_or_else(|| format!("{kind} rung needs \"{name}\""))
+        };
+        let text = |name: &str| {
+            field(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("{kind} rung: \"{name}\" must be a string"))
+        };
+        let num = |name: &str| {
+            field(name)?
+                .as_u64()
+                .ok_or_else(|| format!("{kind} rung: \"{name}\" must be a whole number"))
+        };
+        let small = |name: &str| {
+            u32::try_from(num(name)?)
+                .map_err(|_| format!("{kind} rung: \"{name}\" exceeds 32 bits"))
+        };
+        Ok(match kind {
+            "narrowed_radix" => Rung::NarrowedRadix {
+                algorithm: text("algorithm")?,
+                bits: small("bits")?,
+                estimate: num("estimate")?,
+                budget: num("budget")?,
+            },
+            "cpu_twin" => Rung::CpuTwin {
+                gpu: text("gpu")?,
+                cpu: text("cpu")?,
+                cause: match text("cause")?.as_str() {
+                    "budget" => TwinCause::Budget {
+                        estimate: num("estimate")?,
+                        budget: num("budget")?,
+                    },
+                    "device" => TwinCause::Device {
+                        backend: text("backend")?,
+                        error: text("error")?,
+                    },
+                    other => return Err(format!("cpu_twin rung: unknown cause {other:?}")),
+                },
+            },
+            "spill" => Rung::Spill {
+                partition_bits: small("partition_bits")?,
+                estimate: num("estimate")?,
+                budget: num("budget")?,
+                working_set: num("working_set")?,
+                scratch_bytes: num("scratch_bytes")?,
+            },
+            "spill_retry" => Rung::SpillRetry {
+                error: text("error")?,
+            },
+            "nm_decomposition" => Rung::NmDecomposition {
+                partition: num("partition")?,
+                r_tuples: num("r_tuples")?,
+                s_tuples: num("s_tuples")?,
+                depth: small("depth")?,
+                cap: small("cap")?,
+            },
+            "scratch_removal" => Rung::ScratchRemoval {
+                sub_level: field("sub_level")?
+                    .as_bool()
+                    .ok_or("scratch_removal rung: \"sub_level\" must be a boolean")?,
+                error: text("error")?,
+            },
+            other => return Err(format!("unknown rung kind {other:?}")),
+        })
+    }
+}
+
 /// Counters for one named execution phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseTrace {
@@ -144,10 +468,10 @@ pub struct Trace {
     pub phases: Vec<PhaseTrace>,
     /// Skewed keys the detector reported, with sample frequencies.
     pub skewed_keys: Vec<SkewedKey>,
-    /// Graceful-degradation decisions taken during execution (GPU→CPU
-    /// fallbacks, re-plans with more radix bits, overflow re-partitions),
-    /// in the order they were made. Empty on a fault-free run.
-    pub degradations: Vec<String>,
+    /// Degradation decisions taken for this join (budget fits, GPU→CPU
+    /// fallbacks, spill recoveries), in the order they were made. Empty on
+    /// a fault-free run within budget.
+    pub degradations: Vec<Rung>,
 }
 
 impl Trace {
@@ -163,9 +487,9 @@ impl Trace {
             && self.degradations.is_empty()
     }
 
-    /// Records a degradation decision (fallback, re-plan, re-partition).
-    pub fn record_degradation(&mut self, decision: impl Into<String>) {
-        self.degradations.push(decision.into());
+    /// Records a degradation decision.
+    pub fn record_degradation(&mut self, rung: Rung) {
+        self.degradations.push(rung);
     }
 
     /// The phase's counters, created on first touch and kept in
@@ -280,7 +604,7 @@ impl Trace {
             ),
             (
                 "degradations",
-                Json::Arr(self.degradations.iter().map(Json::str).collect()),
+                Json::Arr(self.degradations.iter().map(Rung::to_json).collect()),
             ),
         ])
     }
@@ -304,7 +628,7 @@ impl Trace {
         // Absent in traces serialized before degradations existed.
         if let Some(degradations) = json.get("degradations").and_then(Json::as_array) {
             for d in degradations {
-                trace.record_degradation(d.as_str()?);
+                trace.record_degradation(Rung::from_json(d).ok()?);
             }
         }
         Some(trace)
@@ -395,24 +719,84 @@ mod tests {
         assert_eq!(back, t);
     }
 
+    /// One rung of every variant (and both twin causes and removal scopes).
+    fn every_rung() -> Vec<Rung> {
+        vec![
+            Rung::NarrowedRadix {
+                algorithm: "GSH".into(),
+                bits: 8,
+                estimate: 1 << 21,
+                budget: 1 << 20,
+            },
+            Rung::CpuTwin {
+                gpu: "GSH".into(),
+                cpu: "CSH".into(),
+                cause: TwinCause::Budget {
+                    estimate: 1 << 21,
+                    budget: 1 << 20,
+                },
+            },
+            Rung::CpuTwin {
+                gpu: "Gbase".into(),
+                cpu: "Cbase".into(),
+                cause: TwinCause::Device {
+                    backend: "sim".into(),
+                    error: "shared memory exhausted".into(),
+                },
+            },
+            Rung::Spill {
+                partition_bits: 6,
+                estimate: 1 << 22,
+                budget: 1 << 16,
+                working_set: 49_152,
+                scratch_bytes: 1 << 23,
+            },
+            Rung::SpillRetry {
+                error: "spill failed: injected".into(),
+            },
+            Rung::NmDecomposition {
+                partition: 17,
+                r_tuples: 4096,
+                s_tuples: 8192,
+                depth: 3,
+                cap: 3,
+            },
+            Rung::ScratchRemoval {
+                sub_level: true,
+                error: "busy".into(),
+            },
+            Rung::ScratchRemoval {
+                sub_level: false,
+                error: "busy".into(),
+            },
+        ]
+    }
+
     #[test]
     fn degradations_roundtrip_merge_and_render() {
         let mut t = Trace::new();
-        t.record_degradation("Gbase→Cbase fallback: shared memory exhausted");
+        for rung in every_rung() {
+            t.record_degradation(rung);
+        }
         assert!(!t.is_empty());
         let back = Trace::from_json(&Json::parse(&t.to_json().to_string()).unwrap()).unwrap();
         assert_eq!(back, t);
-        assert!(t.render().contains("degraded: Gbase→Cbase"));
+        let rendered = t.render();
+        assert!(rendered.contains("degraded: Gbase→Cbase (gpu backend sim)"));
+        assert_eq!(rendered.matches("degraded: ").count(), t.degradations.len());
 
         let mut other = Trace::new();
-        other.record_degradation("retried with 14 radix bits");
+        other.record_degradation(Rung::SpillRetry { error: "io".into() });
         t.merge(&other);
-        assert_eq!(t.degradations.len(), 2);
+        assert_eq!(t.degradations.len(), every_rung().len() + 1);
 
         // Traces serialized before the field existed still parse.
         let legacy = r#"{"phases": [], "skewed_keys": []}"#;
         let parsed = Trace::from_json(&Json::parse(legacy).unwrap()).unwrap();
         assert!(parsed.degradations.is_empty());
+        // A trace carrying a bad rung does not parse, rather than dropping it.
+        let bad = r#"{"phases": [], "skewed_keys": [], "degradations": [{"kind": "x"}]}"#;
+        assert!(Trace::from_json(&Json::parse(bad).unwrap()).is_none());
     }
 
     #[test]

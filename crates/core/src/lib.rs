@@ -66,7 +66,7 @@ pub mod prelude {
     };
     pub use crate::planner::{JoinPlan, PlannerOptions, TargetDevice};
     pub use skewjoin_common::{
-        JoinError, JoinStats, Key, OutputSink, Payload, Relation, SinkSpec, Tuple,
+        JoinError, JoinStats, Key, OutputSink, Payload, Relation, Rung, SinkSpec, Tuple, TwinCause,
     };
     pub use skewjoin_cpu::{CpuJoinConfig, SkewDetectConfig};
     pub use skewjoin_datagen::{PaperWorkload, WorkloadSpec, ZipfWorkload};

@@ -25,10 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use skewjoin_common::hash::{mix64, RadixConfig};
-use skewjoin_common::{JoinError, JoinStats, Relation, SinkSpec, Tuple};
+use skewjoin_common::{JoinError, JoinStats, Relation, Rung, SinkSpec, Tuple, TwinCause};
 use skewjoin_cpu::skew::detect_skewed_keys;
 use skewjoin_cpu::{CpuJoinConfig, SpillConfig, MIN_SPILL_BUDGET};
-use skewjoin_gpu::{GpuBackendKind, GpuJoinConfig};
+use skewjoin_gpu::GpuJoinConfig;
 
 use crate::api::{run_join, Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig};
 
@@ -320,9 +320,9 @@ pub struct BudgetPlan {
     pub memory_bytes: u64,
     /// Bytes to reserve from the disk budget; 0 unless the plan spills.
     pub disk_bytes: u64,
-    /// The ladder rungs taken, in order, each prefixed `governor:`. Empty
-    /// when the join fits as requested.
-    pub rungs: Vec<String>,
+    /// The ladder rungs taken, in order. Empty when the join fits as
+    /// requested.
+    pub rungs: Vec<Rung>,
 }
 
 /// Fits `algorithm` over `r_tuples ⋈ s_tuples` under `cfg` to a memory and
@@ -357,10 +357,14 @@ pub fn fit_to_budget(
     let mut floor = 0;
     for candidate in std::iter::once(algorithm).chain(twin) {
         if candidate != algorithm {
-            rungs.push(format!(
-                "governor: {algorithm}→{candidate} — {algorithm} estimate {floor} B exceeds \
-                 budget {memory_budget} B at its narrowest radix"
-            ));
+            rungs.push(Rung::CpuTwin {
+                gpu: algorithm.to_string(),
+                cpu: candidate.to_string(),
+                cause: TwinCause::Budget {
+                    estimate: floor,
+                    budget: memory_budget,
+                },
+            });
         }
         match narrow_to_fit(candidate, r_tuples, s_tuples, cfg, memory_budget) {
             Ok((config, memory_bytes, narrowed)) => {
@@ -393,11 +397,13 @@ pub fn fit_to_budget(
         ));
     }
     let spill = SpillConfig::with_budget(working_set);
-    rungs.push(format!(
-        "governor: spill:{} — floor estimate {floor} B exceeds budget {memory_budget} B; \
-         grace-hash spill under a {working_set} B working set ({} B scratch reserved)",
-        spill.partition_bits, spill_est.disk_bytes
-    ));
+    rungs.push(Rung::Spill {
+        partition_bits: spill.partition_bits,
+        estimate: floor,
+        budget: memory_budget,
+        working_set,
+        scratch_bytes: spill_est.disk_bytes,
+    });
     let mut config = cfg.clone();
     config.cpu.spill = Some(spill);
     Ok(BudgetPlan {
@@ -418,7 +424,7 @@ fn narrow_to_fit(
     s_tuples: usize,
     cfg: &JoinConfig,
     budget: u64,
-) -> Result<(JoinConfig, u64, Vec<String>), u64> {
+) -> Result<(JoinConfig, u64, Vec<Rung>), u64> {
     let mut cfg = cfg.clone();
     let mut rungs = Vec::new();
     let mut bits = match algorithm {
@@ -441,10 +447,12 @@ fn narrow_to_fit(
             Algorithm::Cpu(_) => cfg.cpu.radix = radix,
             Algorithm::Gpu(_) => cfg.gpu.radix = Some(radix),
         }
-        rungs.push(format!(
-            "governor: narrowed {algorithm} radix to {bits} bits (estimate {estimate} B > \
-             budget {budget} B)"
-        ));
+        rungs.push(Rung::NarrowedRadix {
+            algorithm: algorithm.to_string(),
+            bits,
+            estimate,
+            budget,
+        });
     }
 }
 
@@ -467,10 +475,6 @@ pub struct PlanCacheKey {
     pub skew_bucket: u8,
     /// The device the plan targets.
     pub device: TargetDevice,
-    /// Which GPU backend would execute the plan. Kept in the key even for
-    /// CPU-targeted plans: it is one copied byte, and it means a cached
-    /// decision can never leak across backends when the target flips.
-    pub gpu_backend: GpuBackendKind,
 }
 
 /// A cheap order-sensitive fingerprint of a relation: its length mixed with
@@ -555,7 +559,6 @@ impl PlanCache {
             size_bucket: (r.len().max(1) as u64).ilog2(),
             skew_bucket: skew_bucket(r),
             device: opts.device,
-            gpu_backend: opts.gpu.backend,
         }
     }
 
@@ -772,28 +775,74 @@ mod tests {
         let (big, min) = (1 << 30, MIN_SPILL_BUDGET);
 
         // (case, algorithm, memory budget, disk budget, expected): `Ok` is
-        // the algorithm, its CPU radix bits and a fragment of the last rung
-        // ("" = no rungs at all); `Err` a fragment of the reason.
-        type Expected = Result<(Algorithm, u32, &'static str), &'static str>;
+        // the algorithm, its CPU radix bits and what the last rung must be
+        // (`None` = no rungs at all); `Err` a fragment of the reason.
+        type LastRung = Option<fn(&Rung) -> bool>;
+        type Expected = Result<(Algorithm, u32, LastRung), &'static str>;
         let cases: [(&str, Algorithm, u64, u64, Expected); 6] = [
-            ("untouched", csh, big, 0, Ok((csh, 12, ""))),
-            ("narrow", csh, b10, 0, Ok((csh, 10, "CSH radix to 10"))),
-            ("twin", gsh, b12, 0, Ok((csh, 12, "governor: GSH→CSH"))),
-            ("spill", gsh, min, big, Ok((csh, 12, "spill:6"))),
+            ("untouched", csh, big, 0, Ok((csh, 12, None))),
+            (
+                "narrow",
+                csh,
+                b10,
+                0,
+                Ok((
+                    csh,
+                    10,
+                    Some(|r| matches!(r, Rung::NarrowedRadix { bits: 10, .. })),
+                )),
+            ),
+            (
+                "twin",
+                gsh,
+                b12,
+                0,
+                Ok((
+                    csh,
+                    12,
+                    Some(|r| {
+                        matches!(r, Rung::CpuTwin { gpu, cpu, cause: TwinCause::Budget { .. } }
+                            if gpu == "GSH" && cpu == "CSH")
+                    }),
+                )),
+            ),
+            (
+                "spill",
+                gsh,
+                min,
+                big,
+                Ok((
+                    csh,
+                    12,
+                    Some(|r| {
+                        matches!(
+                            r,
+                            Rung::Spill {
+                                partition_bits: 6,
+                                ..
+                            }
+                        )
+                    }),
+                )),
+            ),
             ("no disk", csh, min, 0, Err("disk budget")),
             ("floor", csh, min - 1, big, Err("spill floor")),
         ];
         for (name, algorithm, memory, disk, expected) in cases {
             match (fit_to_budget(algorithm, n, n, &cfg, memory, disk), expected) {
-                (Ok(plan), Ok((algorithm, bits, rung))) => {
+                (Ok(plan), Ok((algorithm, bits, last_rung))) => {
                     assert_eq!(plan.algorithm, algorithm, "{name}");
                     assert_eq!(plan.config.cpu.radix.total_bits(), bits, "{name}");
-                    assert_eq!(plan.config.cpu.spill.is_some(), rung.contains("spill"));
+                    let spilled = matches!(plan.rungs.last(), Some(Rung::Spill { .. }));
+                    assert_eq!(plan.config.cpu.spill.is_some(), spilled, "{name}");
                     assert!(plan.memory_bytes <= memory, "{name}");
-                    let last = plan.rungs.last().map_or("", String::as_str);
-                    assert!(last.contains(rung), "{name}: {:?}", plan.rungs);
-                    if rung.is_empty() {
-                        assert!(plan.rungs.is_empty() && plan.config == cfg, "{name}");
+                    match last_rung {
+                        Some(is_last) => assert!(
+                            plan.rungs.last().is_some_and(is_last),
+                            "{name}: {:?}",
+                            plan.rungs
+                        ),
+                        None => assert!(plan.rungs.is_empty() && plan.config == cfg, "{name}"),
                     }
                 }
                 (Err(reason), Err(fragment)) => {
@@ -821,7 +870,11 @@ mod tests {
         assert_eq!(plan.algorithm, gsh);
         assert_eq!(plan.config.gpu.derived_radix(n).total_bits(), 8);
         assert_eq!(plan.config.cpu, cfg.cpu, "the CPU half stays as requested");
-        assert!(plan.rungs[0].contains("narrowed GSH radix to 8 bits"));
+        assert!(
+            matches!(&plan.rungs[0], Rung::NarrowedRadix { algorithm, bits: 8, .. } if algorithm == "GSH"),
+            "{:?}",
+            plan.rungs
+        );
     }
 
     #[test]
@@ -854,7 +907,10 @@ mod tests {
                 }
             };
             assert!(plan.memory_bytes <= memory, "case {case}: {plan:?}");
-            let narrowed = plan.rungs.iter().any(|rung| rung.contains("narrowed"));
+            let narrowed = plan
+                .rungs
+                .iter()
+                .any(|rung| matches!(rung, Rung::NarrowedRadix { .. }));
             assert!(!narrowed || algorithm.name() != "cbase-npj", "case {case}");
             if plan.config.cpu.spill.is_some() {
                 spilled += 1;
@@ -928,29 +984,6 @@ mod tests {
         let (gpu_plan, hit3) = cache.plan(&w.r, &w.s, &gpu_opts);
         assert!(!hit3);
         assert!(!gpu_plan.algorithm.is_cpu());
-    }
-
-    #[test]
-    fn plan_cache_key_separates_gpu_backends() {
-        let w = PaperWorkload::generate(WorkloadSpec::paper(1 << 12, 1.0, 23));
-        let mut sim_opts = PlannerOptions::default();
-        sim_opts.device = TargetDevice::Gpu;
-        let mut host_opts = sim_opts.clone();
-        host_opts.gpu.backend = GpuBackendKind::Host;
-
-        let sim_key = PlanCache::key_for(&w.r, &sim_opts);
-        let host_key = PlanCache::key_for(&w.r, &host_opts);
-        assert_eq!(sim_key.gpu_backend, GpuBackendKind::Sim);
-        assert_eq!(host_key.gpu_backend, GpuBackendKind::Host);
-        assert_ne!(sim_key, host_key);
-
-        // Same fingerprint, size, skew, device — only the backend differs,
-        // so a cached sim decision is a miss under the host backend.
-        let cache = PlanCache::new(8);
-        cache.plan(&w.r, &w.s, &sim_opts);
-        let (_, hit) = cache.plan(&w.r, &w.s, &host_opts);
-        assert!(!hit);
-        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

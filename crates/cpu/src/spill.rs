@@ -57,7 +57,7 @@ use std::time::Instant;
 use skewjoin_common::hash::{mix32, mix64, radix_pass};
 use skewjoin_common::json::Json;
 use skewjoin_common::scratch::ScratchDir;
-use skewjoin_common::trace::counter;
+use skewjoin_common::trace::{counter, Rung};
 use skewjoin_common::{faults, JoinError, JoinStats, Key, OutputSink, Relation, Tuple};
 
 use crate::config::CpuJoinConfig;
@@ -651,7 +651,7 @@ where
     sinks: Vec<S>,
     sink_base: usize,
     counters: Counters,
-    degradations: Vec<String>,
+    degradations: Vec<Rung>,
 }
 
 /// What one spill scatter reads: the relation in memory at level 0, a
@@ -880,14 +880,15 @@ where
     // failure is recorded and retried by the guard's drop — never a lost
     // result, never a leaked file.
     if faults::fire(FAILPOINT_REMOVE) {
-        ctx.degradations.push(format!(
-            "spill: scratch removal failed ({}: {FAILPOINT_REMOVE}); retried by guard",
-            faults::PANIC_PREFIX
-        ));
+        ctx.degradations.push(Rung::ScratchRemoval {
+            sub_level: false,
+            error: format!("{}: {FAILPOINT_REMOVE}", faults::PANIC_PREFIX),
+        });
     } else if let Err(e) = dir.remove_now() {
-        ctx.degradations.push(format!(
-            "spill: scratch removal failed ({e}); retried by guard"
-        ));
+        ctx.degradations.push(Rung::ScratchRemoval {
+            sub_level: false,
+            error: e.to_string(),
+        });
     }
     drop(dir);
 
@@ -974,11 +975,13 @@ where
         // pair keeps colliding. The block-wise NM decomposition still
         // completes it under the budget — degraded throughput, not a
         // rejection.
-        ctx.degradations.push(format!(
-            "spill: partition {} ({} R + {} S tuples) pinned at recursion depth {depth} \
-             (cap {}); NM decomposition",
-            entry.index, entry.r.tuples, entry.s.tuples, ctx.spill.max_recursion
-        ));
+        ctx.degradations.push(Rung::NmDecomposition {
+            partition: entry.index as u64,
+            r_tuples: entry.r.tuples,
+            s_tuples: entry.s.tuples,
+            depth,
+            cap: ctx.spill.max_recursion,
+        });
         return nm_decompose(ctx, dir, entry);
     }
 
@@ -1025,14 +1028,15 @@ where
     // levels. A remove fault here is absorbed: the top-level guard removes
     // the whole tree regardless.
     if faults::fire(FAILPOINT_REMOVE) {
-        ctx.degradations.push(format!(
-            "spill: sub-level removal failed ({}: {FAILPOINT_REMOVE}); deferred to guard",
-            faults::PANIC_PREFIX
-        ));
+        ctx.degradations.push(Rung::ScratchRemoval {
+            sub_level: true,
+            error: format!("{}: {FAILPOINT_REMOVE}", faults::PANIC_PREFIX),
+        });
     } else if let Err(e) = std::fs::remove_dir_all(&sub_dir) {
-        ctx.degradations.push(format!(
-            "spill: sub-level removal failed ({e}); deferred to guard"
-        ));
+        ctx.degradations.push(Rung::ScratchRemoval {
+            sub_level: true,
+            error: e.to_string(),
+        });
     }
     Ok(())
 }

@@ -21,9 +21,8 @@
 //!   by the backend-parity tests.
 //!
 //! Backend selection flows through
-//! [`GpuJoinConfig::backend`](crate::GpuJoinConfig), the planner's
-//! plan-cache key, and the degradation ladder, which records which backend
-//! ran.
+//! [`GpuJoinConfig::backend`](crate::GpuJoinConfig) into the join and into
+//! the device-fallback rung, which records which backend ran.
 
 use skewjoin_common::JoinError;
 use skewjoin_gpu_sim::{BufferId, DeviceSpec, LaunchStats};
@@ -46,8 +45,8 @@ pub enum GpuBackendKind {
 }
 
 impl GpuBackendKind {
-    /// Stable lowercase name, used in degradation-ladder entries, the
-    /// plan-cache key display, and fuzz-case serialization.
+    /// Stable lowercase name, used in device-fallback rungs and fuzz-case
+    /// serialization.
     pub fn name(self) -> &'static str {
         match self {
             GpuBackendKind::Sim => "sim",

@@ -9,7 +9,11 @@
 //! * requests carrying a deadline either finish inside it (plus grace) or
 //!   resolve as `Cancelled` — a late completion is a deadline miss;
 //! * the budget demonstrably forced queuing (`service.memory_waits` ≥ 1)
-//!   and at least one degradation-ladder rung engaged;
+//!   and at least one governor rung engaged;
+//! * no completion fell back from the device at run time: no failpoint is
+//!   armed and the governor plans every over-budget GPU request onto the
+//!   CPU, so a device-fallback rung means the cost model admitted a GPU
+//!   join the device could not run;
 //! * peak governor occupancy never exceeded the budget;
 //! * the final metrics reconcile exactly: `submitted = admitted + rejected`
 //!   and `admitted = completed + cancelled + failed`.
@@ -31,6 +35,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use skewjoin::common::{Rung, TwinCause};
 use skewjoin::datagen::{PaperWorkload, WorkloadSpec};
 use skewjoin::planner::{estimate_join_memory, TargetDevice};
 use skewjoin::{Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig};
@@ -270,7 +275,6 @@ fn soak_one_seed(args: &SoakArgs, seed: u64) -> Vec<String> {
     let mut cancelled = 0usize;
     let mut failed = 0usize;
     let mut ladder_engagements = 0usize;
-    let mut gpu_fallbacks = 0usize;
     let mut plan_cache_hits = 0usize;
     for (request, ticket) in tickets {
         let Some(response) = ticket.wait_timeout(args.timeout) else {
@@ -286,13 +290,38 @@ fn soak_one_seed(args: &SoakArgs, seed: u64) -> Vec<String> {
         match &response.outcome {
             Outcome::Completed(summary) => {
                 completed += 1;
-                let took = |rung: &str| summary.degradations.iter().any(|d| d.contains(rung));
-                if took("governor") {
+                let governed = summary.degradations.iter().any(|rung| {
+                    matches!(
+                        rung,
+                        Rung::NarrowedRadix { .. }
+                            | Rung::Spill { .. }
+                            | Rung::CpuTwin {
+                                cause: TwinCause::Budget { .. },
+                                ..
+                            }
+                    )
+                });
+                if governed {
                     ladder_engagements += 1;
                 }
-                // run_join's own GPU→CPU fallback: a GPU attempt failed.
-                if took("(gpu backend") {
-                    gpu_fallbacks += 1;
+                // No failpoint is armed and the governor plans every
+                // over-budget GPU request onto the CPU, so a device fallback
+                // means a GPU join the cost model admitted failed on the
+                // device.
+                let device_fallback = summary.degradations.iter().find(|rung| {
+                    matches!(
+                        rung,
+                        Rung::CpuTwin {
+                            cause: TwinCause::Device { .. },
+                            ..
+                        }
+                    )
+                });
+                if let Some(rung) = device_fallback {
+                    violations.push(format!(
+                        "device fallback: request from {} fell back at run time: {rung}",
+                        request.client
+                    ));
                 }
                 if summary.plan_cache_hit {
                     plan_cache_hits += 1;
@@ -402,8 +431,7 @@ fn soak_one_seed(args: &SoakArgs, seed: u64) -> Vec<String> {
 
     println!(
         "  seed {seed}: {completed} completed ({ladder_engagements} via governor ladder, \
-         {gpu_fallbacks} via GPU fallback, {plan_cache_hits} plan-cache hits), {rejected} \
-         rejected, {cancelled} cancelled, \
+         {plan_cache_hits} plan-cache hits), {rejected} rejected, {cancelled} cancelled, \
          {failed} failed; {memory_waits} memory waits; {spilled} spilled; \
          peak {peak}/{budget} B; wall {:?}",
         started.elapsed()

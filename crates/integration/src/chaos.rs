@@ -7,7 +7,7 @@
 //! 1. through the algorithm's direct entry point with per-key counting
 //!    sinks, checked against the diffcheck per-key oracle, and
 //! 2. through the public [`skewjoin::run_join`] API, where the degradation
-//!    ladder (radix retry, GPU→CPU fallback) is allowed to engage, checked
+//!    ladder (a GPU join's fallback to its CPU twin) may engage, checked
 //!    against the reference total and order-independent checksum.
 //!
 //! The contract under test: every cell ends in a *diffcheck-correct result*
@@ -75,11 +75,11 @@ pub fn schedule_for(site: &str, seed: u64) -> Schedule {
         // Mis-detection drops the hottest key every time: the undetected
         // heavy key must still join correctly through the normal path.
         "cpu.skew.detect" => Schedule::Always,
-        // Single modeled OOM: the ladder's radix retry must absorb it.
+        // Single modeled OOM or launch failure: the CPU twin must absorb it.
         "gpu.memory.alloc" => Schedule::OnHit(1 + seed % 3),
         "gpu.launch" => Schedule::OnHit(1 + seed % 5),
-        // Per-block shared allocations fail persistently: the ladder must
-        // walk all the way down to the CPU fallback.
+        // Per-block shared allocations fail persistently: the GPU join can
+        // only complete as its CPU twin.
         "gpu.shared_alloc" => Schedule::Probability(0.05),
         // Disk faults: writes/reads run once per partition file, so a small
         // probability lands mid-spill at varying positions; a manifest has
@@ -338,7 +338,7 @@ fn cell_body(
         })
     };
 
-    // Run 2: the public API, where the degradation ladder may engage.
+    // Run 2: the public API, where the device fallback may engage.
     // Re-arm so the schedule's hit counter restarts from zero.
     faults::reset(seed);
     faults::arm(site, schedule_for(site, seed));

@@ -11,10 +11,10 @@
 //!   through their own path.
 //! * **Memory governor** ([`governor`]) — every admitted join reserves its
 //!   planner-estimated footprint against a global byte budget before
-//!   executing. Over-budget requests degrade down a ladder (narrower radix
-//!   bits, then GPU → CPU via the engine's existing fallback) or queue
-//!   until bytes free up; infeasible-even-degraded requests are rejected
-//!   at admission.
+//!   executing. Over-budget requests degrade down one ladder
+//!   (`planner::fit_to_budget`: narrower radix bits, then a GPU join's CPU
+//!   twin, then the grace-hash spill) or queue until bytes free up;
+//!   infeasible-even-degraded requests are rejected at admission.
 //! * **Plan cache** ([`skewjoin::planner::PlanCache`], surfaced in
 //!   [`service`]) — `Auto` requests reuse planner decisions keyed by
 //!   (relation fingerprint, size bucket, skew bucket) with hit/miss

@@ -1,4 +1,4 @@
-//! Length-prefixed TCP protocol (version 2): each frame is a `u32`
+//! Length-prefixed TCP protocol (version 3): each frame is a `u32`
 //! big-endian byte length followed by that many bytes of compact UTF-8
 //! JSON, sent in one write on a socket with `TCP_NODELAY` set.
 //!
@@ -12,6 +12,10 @@
 //! alphabet, bad padding, a truncated block, a tuple count that disagrees
 //! with the length, a wrong magic — or the version-1 `[[key, payload], …]`
 //! array form gets a typed protocol error.
+//!
+//! A completed summary's `degradations` are rung objects, each tagged by
+//! its `kind` (the `common::trace::Rung` codec); version 2 sent rung text.
+//! An unknown kind or a missing field is a typed protocol error too.
 //!
 //! Ops (the `"op"` member of a request frame):
 //!
@@ -64,7 +68,7 @@ pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// Version of the frame protocol this build speaks. Carried in the
 /// `ping` hello exchange; a mismatch is a typed
 /// [`ClientError::VersionMismatch`], not a frame-parse failure.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Connection attempts a [`Client`] makes per op before reporting
 /// [`ClientError::ConnectionLost`].

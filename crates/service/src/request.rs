@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use skewjoin::common::base64;
 use skewjoin::common::json::Json;
-use skewjoin::common::{Key, Relation, Trace};
+use skewjoin::common::{Key, Relation, Rung, Trace};
 use skewjoin::planner::TargetDevice;
 use skewjoin::{Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig, ShardPartition};
 use skewjoin_datagen::io;
@@ -436,9 +436,9 @@ pub struct JoinSummary {
     /// Time spent queued before a worker picked the request up, in
     /// nanoseconds.
     pub queue_nanos: u64,
-    /// Degradation-ladder rungs taken, the governor's budget fit first
-    /// (`governor:` entries), then the executor's own records.
-    pub degradations: Vec<String>,
+    /// Degradation-ladder rungs taken, the governor's budget fit first,
+    /// then the executor's own records.
+    pub degradations: Vec<Rung>,
     /// Whether the planner decision came from the plan cache.
     pub plan_cache_hit: bool,
     /// Per-key result counts, sorted by key — present when the request
@@ -515,7 +515,7 @@ impl JoinResponse {
                     ("queue_nanos", Json::from_u64(s.queue_nanos)),
                     (
                         "degradations",
-                        Json::Arr(s.degradations.iter().map(Json::str).collect()),
+                        Json::Arr(s.degradations.iter().map(Rung::to_json).collect()),
                     ),
                     ("plan_cache_hit", Json::Bool(s.plan_cache_hit)),
                 ];
@@ -574,16 +574,16 @@ impl JoinResponse {
                         .ok_or("summary needs a hex checksum")?,
                     exec_nanos: s.get("exec_nanos").and_then(Json::as_u64).unwrap_or(0),
                     queue_nanos: s.get("queue_nanos").and_then(Json::as_u64).unwrap_or(0),
-                    degradations: s
-                        .get("degradations")
-                        .and_then(Json::as_array)
-                        .map(|arr| {
-                            arr.iter()
-                                .filter_map(Json::as_str)
-                                .map(str::to_string)
-                                .collect()
-                        })
-                        .unwrap_or_default(),
+                    degradations: match s.get("degradations") {
+                        None => Vec::new(),
+                        Some(rungs) => rungs
+                            .as_array()
+                            .ok_or("summary degradations must be an array")?
+                            .iter()
+                            .map(Rung::from_json)
+                            .collect::<Result<_, _>>()
+                            .map_err(|e| format!("summary degradations: {e}"))?,
+                    },
                     plan_cache_hit: s
                         .get("plan_cache_hit")
                         .and_then(Json::as_bool)
@@ -728,13 +728,13 @@ mod tests {
         }
     }
 
-    /// A completed response whose `key_counts` member is `blob`.
-    fn response_with_key_counts(blob: Json) -> Json {
+    /// A completed response whose summary's `member` is `blob`.
+    fn response_with(member: &str, blob: Json) -> Json {
         let summary = Json::obj(vec![
             ("algorithm", Json::str("CSH")),
             ("result_count", Json::from_u64(0)),
             ("checksum", Json::str("0x0")),
-            ("key_counts", blob),
+            (member, blob),
         ]);
         Json::obj(vec![
             ("id", Json::from_u64(1)),
@@ -758,9 +758,88 @@ mod tests {
             (Json::Arr(vec![]), "v1 array form"),
             (Json::from_u64(3), "key-count block"),
         ] {
-            let err = JoinResponse::from_json(&response_with_key_counts(blob)).unwrap_err();
+            let err = JoinResponse::from_json(&response_with("key_counts", blob)).unwrap_err();
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         }
+    }
+
+    #[test]
+    fn malformed_rungs_are_errors() {
+        for (rung, needle) in [
+            (r#"{"kind": "radix_retry", "bits": 8}"#, "unknown rung kind"),
+            (r#"{"kind": "spill_retry"}"#, "needs \"error\""),
+            (r#"{"bits": 8}"#, "\"kind\""),
+            (r#""GSH→CSH: oom""#, "\"kind\""),
+            (
+                r#"{"kind": "cpu_twin", "gpu": "GSH", "cpu": "CSH", "cause": "moon"}"#,
+                "unknown cause",
+            ),
+            (
+                r#"{"kind": "nm_decomposition", "partition": 1, "r_tuples": 1,
+                    "s_tuples": 1, "depth": 1, "cap": 4294967296}"#,
+                "32 bits",
+            ),
+            (
+                r#"{"kind": "scratch_removal", "sub_level": 1, "error": "x"}"#,
+                "boolean",
+            ),
+        ] {
+            let rungs = Json::Arr(vec![Json::parse(rung).unwrap()]);
+            let err = JoinResponse::from_json(&response_with("degradations", rungs)).unwrap_err();
+            assert!(err.contains("summary degradations"), "{err:?}");
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        }
+    }
+
+    /// One rung of every variant (and both twin causes and removal scopes).
+    fn every_rung() -> Vec<Rung> {
+        use skewjoin::common::TwinCause;
+        let twin = |cause| Rung::CpuTwin {
+            gpu: "GSH".into(),
+            cpu: "CSH".into(),
+            cause,
+        };
+        vec![
+            Rung::NarrowedRadix {
+                algorithm: "Gbase".into(),
+                bits: 6,
+                estimate: 900_000,
+                budget: 800_000,
+            },
+            twin(TwinCause::Budget {
+                estimate: 900_000,
+                budget: 800_000,
+            }),
+            twin(TwinCause::Device {
+                backend: "host".into(),
+                error: "GPU resource exhausted: table R (4096 tuples) exceeds global memory".into(),
+            }),
+            Rung::Spill {
+                partition_bits: 6,
+                estimate: 900_000,
+                budget: 65_536,
+                working_set: 49_152,
+                scratch_bytes: 131_072,
+            },
+            Rung::SpillRetry {
+                error: "spill failed: write".into(),
+            },
+            Rung::NmDecomposition {
+                partition: 3,
+                r_tuples: 10,
+                s_tuples: 20,
+                depth: 3,
+                cap: 3,
+            },
+            Rung::ScratchRemoval {
+                sub_level: false,
+                error: "busy".into(),
+            },
+            Rung::ScratchRemoval {
+                sub_level: true,
+                error: "busy".into(),
+            },
+        ]
     }
 
     #[test]
@@ -774,7 +853,7 @@ mod tests {
                     checksum: 0xDEAD_BEEF_0000_0001,
                     exec_nanos: 42,
                     queue_nanos: 7,
-                    degradations: vec!["GSH→CSH: oom".into()],
+                    degradations: every_rung(),
                     plan_cache_hit: true,
                     key_counts: None,
                     trace: None,

@@ -190,7 +190,9 @@ fn submit_remote(addr: &str, request: &JoinRequest) -> ! {
                 },
             );
             if !summary.degradations.is_empty() {
-                println!("  degradations: {}", summary.degradations.join(", "));
+                for rung in &summary.degradations {
+                    println!("  degraded: {rung}");
+                }
             }
             std::process::exit(0);
         }

@@ -106,8 +106,8 @@ fn gpu_memory_high_water_reported() {
     for algo in GpuAlgorithm::ALL {
         skewjoin::run_join(algo.into(), &w.r, &w.s, &jc, SinkSpec::Count).unwrap();
     }
-    // When memory cannot hold the tables, the degradation ladder falls back
-    // to the CPU — still correct, with the fallback recorded in the trace.
+    // When memory cannot hold the tables, the join falls back to its CPU
+    // twin — still correct, with exactly that one rung in the trace.
     let small = JoinConfig::from(GpuJoinConfig {
         spec: DeviceSpec::tiny(1 << 10),
         block_dim: 64,
@@ -122,11 +122,11 @@ fn gpu_memory_high_water_reported() {
     )
     .unwrap();
     assert!(
-        stats
-            .trace
-            .degradations
-            .iter()
-            .any(|d| d.contains("GSH→CSH")),
+        matches!(
+            stats.trace.degradations.as_slice(),
+            [Rung::CpuTwin { gpu, cpu, cause: TwinCause::Device { .. } }]
+                if gpu == "GSH" && cpu == "CSH"
+        ),
         "degradations: {:?}",
         stats.trace.degradations
     );

@@ -290,9 +290,16 @@ mod injected {
             .unwrap()
         });
         assert_eq!((stats.result_count, stats.checksum), truth);
+        // One device OOM sends the join to its CPU twin: one rung, no
+        // second GPU attempt.
         assert!(
-            !stats.trace.degradations.is_empty(),
-            "the recovered run must record how it degraded"
+            matches!(
+                stats.trace.degradations.as_slice(),
+                [Rung::CpuTwin { gpu, cpu, cause: TwinCause::Device { .. } }]
+                    if gpu == "Gbase" && cpu == "Cbase"
+            ),
+            "degradations: {:?}",
+            stats.trace.degradations
         );
     }
 
@@ -318,11 +325,11 @@ mod injected {
         });
         assert_eq!((stats.result_count, stats.checksum), truth);
         assert!(
-            stats
-                .trace
-                .degradations
-                .iter()
-                .any(|d| d.contains("GSH→CSH")),
+            matches!(
+                stats.trace.degradations.as_slice(),
+                [Rung::CpuTwin { gpu, cpu, cause: TwinCause::Device { .. } }]
+                    if gpu == "GSH" && cpu == "CSH"
+            ),
             "degradations: {:?}",
             stats.trace.degradations
         );
@@ -547,11 +554,13 @@ mod injected {
         });
         assert_eq!((stats.result_count, stats.checksum), truth);
         assert!(
-            stats
-                .trace
-                .degradations
-                .iter()
-                .any(|d| d.contains("scratch removal failed")),
+            stats.trace.degradations.iter().any(|d| matches!(
+                d,
+                Rung::ScratchRemoval {
+                    sub_level: false,
+                    ..
+                }
+            )),
             "degradations: {:?}",
             stats.trace.degradations
         );
