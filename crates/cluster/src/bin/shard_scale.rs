@@ -7,6 +7,10 @@
 //!   key). This is the distributed analogue of the paper's Figure 1:
 //!   under heavy skew, plain hashing funnels the hot keys' probe tuples
 //!   onto their owner shards, while probe splitting deals them evenly.
+//! * **bytes shipped** — the frame bytes of the shard requests and of
+//!   their replies (the coordinator's `cluster.request_bytes` and
+//!   `cluster.reply_bytes` trace counters), the distributed join's
+//!   communication cost;
 //! * **wall time** of a real cluster join over in-process shard servers,
 //!   so the coordination overhead (scatter + TCP + merge) is measured,
 //!   not asserted.
@@ -52,8 +56,16 @@ fn main() {
 
     println!("shard_scale: {tuples} tuples/side, seed 42, CSH on every shard");
     println!(
-        "{:>6} {:>6} {:>8} | {:>14} {:>14} | {:>9} {:>12}",
-        "shards", "zipf", "hot", "max-share hash", "max-share skew", "wall", "reassigned"
+        "{:>6} {:>6} {:>8} | {:>14} {:>14} | {:>11} {:>11} | {:>9} {:>12}",
+        "shards",
+        "zipf",
+        "hot",
+        "max-share hash",
+        "max-share skew",
+        "request MB",
+        "reply MB",
+        "wall",
+        "reassigned"
     );
 
     for shards in [1usize, 2, 4] {
@@ -96,11 +108,16 @@ fn main() {
             let out = coordinator.join(&w.r, &w.s).expect("cluster join");
             let wall = started.elapsed();
 
+            let megabytes =
+                |counter: &str| out.trace.get("cluster", counter).unwrap_or(0) as f64 / 1e6;
             println!(
-                "{shards:>6} {zipf:>6} {:>8} | {:>13.1}% {:>13.1}% | {:>8.3}s {:>12}",
+                "{shards:>6} {zipf:>6} {:>8} | {:>13.1}% {:>13.1}% | {:>11.3} {:>11.3} | \
+                 {:>8.3}s {:>12}",
                 routed.stats.hot_keys,
                 max_probe_share(&hashed.s),
                 max_probe_share(&routed.s),
+                megabytes("request_bytes"),
+                megabytes("reply_bytes"),
                 wall.as_secs_f64(),
                 out.reassigned,
             );

@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod base64;
 pub mod cancel;
 pub mod error;
 pub mod faults;

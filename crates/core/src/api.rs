@@ -357,8 +357,11 @@ pub fn run_shard_join<F: SinkFactory>(
     crate::planner::validate_config(cfg)?;
     if let Some(part) = restriction {
         part.validate()?;
+        // Ownership first: a hash and a compare settle nearly every tuple
+        // of a correctly routed slice, so the hot-key set is probed only
+        // for the rest.
         let hot: std::collections::HashSet<Key> = part.hot_keys.iter().copied().collect();
-        let admits = |key: Key| hot.contains(&key) || shard_of(key, part.shards) == part.slot;
+        let admits = |key: Key| shard_of(key, part.shards) == part.slot || hot.contains(&key);
         for (side, rel) in [("R", r), ("S", s)] {
             if let Some(t) = rel.tuples().iter().find(|t| !admits(t.key)) {
                 return Err(JoinError::InvalidInput(format!(

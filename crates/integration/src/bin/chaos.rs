@@ -187,9 +187,11 @@ fn main() {
         })
         .count();
     let typed = results.len() - correct - violations.len();
+    let timing_dependent = results.iter().filter(|c| c.timing_dependent()).count();
     println!(
         "chaos: {correct} correct ({degraded} via degradation), {typed} typed errors, {} \
-         violations",
+         violations; {timing_dependent} cells are timing-dependent (a rerun may end \
+         differently)",
         violations.len()
     );
 

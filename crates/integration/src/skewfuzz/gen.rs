@@ -435,11 +435,13 @@ pub fn gen_frame_case(rng: &mut Rng, seed: u64, index: usize) -> FrameCase {
         }
         4 => {
             // Byte-flipped mutation of a valid frame: alternately an
-            // inline request, whose flips mostly land in the base64
-            // relation blocks, and a generate request. Frame cases sit at
+            // inline request, whose flips all land in the binary tail (the
+            // relation blocks after the NUL), and a generate request, which
+            // has no tail and takes its flips anywhere. Frame cases sit at
             // every fourth index (all odd), so the choice alternates on
-            // `index / 4`. It draws nothing from the rng, so existing
-            // repros name the same cases.
+            // `index / 4`. It draws nothing extra from the rng (one draw
+            // per flip position, as before), so existing repros name the
+            // same cases.
             let algo = AlgoChoice::parse("csh").unwrap();
             let req = if (index / 4) % 2 == 1 {
                 use skewjoin::common::Relation;
@@ -450,8 +452,13 @@ pub fn gen_frame_case(rng: &mut Rng, seed: u64, index: usize) -> FrameCase {
                 JoinRequest::generate("skewfuzz", algo, 64, 0.5, 7)
             };
             let mut bytes = frame_of(&req.to_json());
+            // The first NUL after the length prefix ends the JSON head.
+            let tail = bytes[4..]
+                .iter()
+                .position(|&b| b == 0)
+                .map_or(0, |nul| 4 + nul + 1);
             for _ in 0..(1 + rng.below(8)) {
-                let i = rng.below(bytes.len());
+                let i = tail + rng.below(bytes.len() - tail);
                 bytes[i] ^= (rng.next_u32() & 0xFF) as u8;
             }
             ("mutated", bytes)

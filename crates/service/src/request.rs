@@ -3,15 +3,15 @@
 //!
 //! A [`JoinRequest`] either carries its relations inline (in-process
 //! clients hand over `Arc`s; remote clients ship each relation as one
-//! base64 string holding its binary `SKJR` block) or asks the service to
-//! generate a paper workload on the worker — the cheap way to drive load
-//! tests over TCP without streaming megabytes of tuples. Per-key result
-//! counts travel back the same way, as one base64 block of 12-byte records.
+//! [`Json::Bytes`] value holding its binary `SKJR` block, which the frame
+//! moves into its binary tail) or asks the service to generate a paper
+//! workload on the worker — the cheap way to drive load tests over TCP
+//! without streaming megabytes of tuples. Per-key result counts travel back
+//! the same way, as one binary section of 12-byte records.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use skewjoin::common::base64;
 use skewjoin::common::json::Json;
 use skewjoin::common::{Key, Relation, Rung, Trace};
 use skewjoin::planner::TargetDevice;
@@ -112,7 +112,7 @@ impl AlgoChoice {
 #[derive(Debug, Clone)]
 pub enum RequestPayload {
     /// Caller-provided relations. In-process submissions share them by
-    /// `Arc`; over the wire each is a base64 `SKJR` block.
+    /// `Arc`; over the wire each is a binary `SKJR` block.
     Inline {
         /// Build side.
         r: Arc<Relation>,
@@ -357,23 +357,22 @@ impl JoinRequest {
     }
 }
 
-/// A relation on the wire: the base64 text of its `SKJR` block
-/// (`datagen::io` format — header, then 8-byte little-endian tuples).
+/// A relation on the wire: its `SKJR` block (`datagen::io` format —
+/// header, then 8-byte little-endian tuples) as one binary section.
 fn relation_to_json(rel: &Relation) -> Json {
-    Json::Str(base64::encode(&io::to_bytes(rel)))
+    Json::Bytes(io::to_bytes(rel))
 }
 
 fn relation_from_json(json: &Json) -> Result<Relation, String> {
-    let text = blob_text(json, "a base64 SKJR relation block")?;
-    let bytes = base64::decode(text)?;
-    io::from_bytes(&bytes).map_err(|e| format!("relation block: {e}"))
+    let block = blob_bytes(json, "an SKJR relation block")?;
+    io::from_bytes(block).map_err(|e| format!("relation block: {e}"))
 }
 
 /// Bytes per wire `key_counts` record: a little-endian `u32` key, then its
 /// `u64` result count.
 const KEY_COUNT_RECORD: usize = 12;
 
-/// Per-key counts on the wire: the base64 text of 12-byte records in
+/// Per-key counts on the wire: one binary section of 12-byte records in
 /// ascending key order.
 fn key_counts_to_json(counts: &[(Key, u64)]) -> Json {
     let mut bytes = Vec::with_capacity(counts.len() * KEY_COUNT_RECORD);
@@ -381,14 +380,14 @@ fn key_counts_to_json(counts: &[(Key, u64)]) -> Json {
         bytes.extend_from_slice(&key.to_le_bytes());
         bytes.extend_from_slice(&count.to_le_bytes());
     }
-    Json::Str(base64::encode(&bytes))
+    Json::Bytes(bytes)
 }
 
 fn key_counts_from_json(json: &Json) -> Result<Vec<(Key, u64)>, String> {
-    let bytes = base64::decode(blob_text(json, "a base64 key-count block")?)?;
+    let bytes = blob_bytes(json, "a key-count section")?;
     if bytes.len() % KEY_COUNT_RECORD != 0 {
         return Err(format!(
-            "key-count block of {} bytes is not a whole number of {KEY_COUNT_RECORD}-byte records",
+            "key-count section of {} bytes is not a whole number of {KEY_COUNT_RECORD}-byte records",
             bytes.len()
         ));
     }
@@ -399,7 +398,7 @@ fn key_counts_from_json(json: &Json) -> Result<Vec<(Key, u64)>, String> {
         let count = u64::from_le_bytes(count.try_into().expect("8-byte count field"));
         if counts.last().is_some_and(|&(prev, _)| prev >= key) {
             return Err(format!(
-                "key-count block is not in ascending key order at key {key}"
+                "key-count section is not in ascending key order at key {key}"
             ));
         }
         counts.push((key, count));
@@ -407,17 +406,20 @@ fn key_counts_from_json(json: &Json) -> Result<Vec<(Key, u64)>, String> {
     Ok(counts)
 }
 
-/// The text of a blob member. The v1 form — a JSON array of rows — is
-/// named in the error, so an old client learns why it was refused.
-fn blob_text<'a>(json: &'a Json, what: &str) -> Result<&'a str, String> {
-    match json {
-        Json::Str(text) => Ok(text),
-        Json::Arr(_) => Err(format!(
-            "expected {what} (protocol v{PROTOCOL_VERSION}), found a JSON array: \
-             the v1 array form is no longer accepted"
-        )),
-        _ => Err(format!("expected {what}")),
-    }
+/// The bytes of a binary member. The older forms — a version-3 base64
+/// string, a version-1 JSON array of rows — are named in the error, so an
+/// old client learns why it was refused.
+fn blob_bytes<'a>(json: &'a Json, what: &str) -> Result<&'a [u8], String> {
+    let old = match json {
+        Json::Bytes(bytes) => return Ok(bytes),
+        Json::Str(_) => "a string: the v3 base64 form",
+        Json::Arr(_) => "a JSON array: the v1 array form",
+        _ => return Err(format!("expected {what} in the frame tail")),
+    };
+    Err(format!(
+        "expected {what} in the frame tail (protocol v{PROTOCOL_VERSION}), found {old} \
+         is no longer accepted"
+    ))
 }
 
 /// What a completed join reports back — the stats trimmed to what a serving
@@ -683,8 +685,7 @@ mod tests {
             Tuple::new(0, u32::MAX),
             Tuple::new(u32::MAX, 0),
         ];
-        // 0–3 tuples: blocks of 16, 24, 32 and 40 bytes hit every base64
-        // remainder (1, 0, 2 bytes past a whole quantum).
+        // 0–3 tuples: blocks of 16 to 40 bytes, and an empty relation.
         let mut pairs: Vec<(Relation, Relation)> = (0..=edge.len())
             .map(|n| {
                 let r = Relation::from_tuples(edge[..n].to_vec());
@@ -700,7 +701,7 @@ mod tests {
                 Arc::new(r.clone()),
                 Arc::new(s.clone()),
             );
-            let wire = Json::parse(&req.to_json().to_string()).unwrap();
+            let wire = over_the_wire(&req.to_json());
             match JoinRequest::from_json(&wire, "c").unwrap().payload {
                 RequestPayload::Inline { r: br, s: bs } => {
                     assert_eq!(br.tuples(), r.tuples());
@@ -709,6 +710,12 @@ mod tests {
                 other => panic!("expected inline payload, got {other:?}"),
             }
         }
+    }
+
+    /// `json` after a trip through a wire frame.
+    fn over_the_wire(json: &Json) -> Json {
+        let frame = crate::protocol::encode_frame(json).unwrap();
+        crate::protocol::decode_frame(&frame[4..]).unwrap()
     }
 
     fn completed_with_counts(key_counts: Option<Vec<(Key, u64)>>) -> JoinResponse {
@@ -751,12 +758,14 @@ mod tests {
             b
         };
         let unsorted = [record(5, 1), record(2, 1)].concat();
+        let equal = [record(5, 1), record(5, 1)].concat();
         for (blob, needle) in [
-            (Json::str(base64::encode(&[0u8; 13])), "12-byte records"),
-            (Json::str(base64::encode(&unsorted)), "ascending"),
-            (Json::str("AAAA*AAA"), "alphabet"),
+            (Json::Bytes(vec![0u8; 13]), "12-byte records"),
+            (Json::Bytes(unsorted), "ascending"),
+            (Json::Bytes(equal), "ascending"),
+            (Json::str("AAAA"), "v3 base64 form"),
             (Json::Arr(vec![]), "v1 array form"),
-            (Json::from_u64(3), "key-count block"),
+            (Json::from_u64(3), "key-count section"),
         ] {
             let err = JoinResponse::from_json(&response_with("key_counts", blob)).unwrap_err();
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
@@ -909,8 +918,7 @@ mod tests {
         ]
         .map(|counts| completed_with_counts(Some(counts)));
         for resp in cases.into_iter().chain(counted) {
-            let text = resp.to_json().to_string_pretty();
-            let back = JoinResponse::from_json(&Json::parse(&text).unwrap()).unwrap();
+            let back = JoinResponse::from_json(&over_the_wire(&resp.to_json())).unwrap();
             assert_eq!(back, resp);
         }
     }

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use skewjoin::common::json::Json;
 use skewjoin::common::metrics::{default_latency_bounds_micros, MetricsRegistry};
-use skewjoin::common::sink::merge_key_counts;
+use skewjoin::common::sink::sorted_key_counts;
 use skewjoin::common::{
     faults, CancelToken, JoinError, JoinStats, Key, KeyCountSink, Relation, Rung, SinkSpec,
 };
@@ -594,8 +594,7 @@ fn execute(shared: &Arc<Shared>, pending: Pending) {
                 request.shard.as_ref(),
                 |_: usize| KeyCountSink::new(),
             )?;
-            let counts: Vec<(Key, u64)> = merge_key_counts(&out.sinks).into_iter().collect();
-            Ok((out.stats, Some(counts)))
+            Ok((out.stats, Some(sorted_key_counts(&out.sinks))))
         } else {
             run_join(algorithm, &r, &s, cfg, SinkSpec::Count).map(|stats| (stats, None))
         }

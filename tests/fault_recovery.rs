@@ -177,6 +177,42 @@ fn cancel_during_hot_s_emission_is_cancelled_in_partition_s() {
     }
 }
 
+/// A chaos cell armed at a site whose hits the workload fixes repeats its
+/// outcome at the same seed (with the `fault-injection` feature the scatter
+/// failpoint fires; without it the cell is a clean run). One join thread,
+/// because with several the worker a typed error names is whichever one
+/// reached the firing hit first.
+#[test]
+fn deterministic_chaos_cell_repeats_its_outcome() {
+    use skewjoin_integration::chaos::{
+        run_cell, CellOutcome, MatrixConfig, TIMING_DEPENDENT_SITES,
+    };
+    let _guard = lock();
+    let site = "cpu.partition.scatter";
+    assert!(!TIMING_DEPENDENT_SITES.contains(&site));
+    let cfg = MatrixConfig {
+        seeds: vec![23],
+        threads: 1,
+        ..MatrixConfig::default()
+    };
+    let mut fired = false;
+    for algorithm in [
+        Algorithm::Cpu(CpuAlgorithm::Cbase),
+        Algorithm::Cpu(CpuAlgorithm::Csh),
+    ] {
+        let first = run_cell(algorithm, site, 23, &cfg);
+        let second = run_cell(algorithm, site, 23, &cfg);
+        assert!(!first.is_violation(), "{}: {first}", algorithm.name());
+        assert_eq!(first, second, "{} at seed 23", algorithm.name());
+        fired |= matches!(first, CellOutcome::TypedError(_));
+    }
+    assert_eq!(
+        fired,
+        faults::ENABLED,
+        "the scatter failpoint fires iff armed"
+    );
+}
+
 #[cfg(feature = "fault-injection")]
 mod injected {
     use super::*;
