@@ -8,7 +8,8 @@
 //! test, on either side of the wire.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use skewjoin::common::{Key, Relation};
@@ -37,6 +38,37 @@ fn shard_cluster(n: usize) -> (Vec<Arc<JoinService>>, Vec<ServerHandle>, Vec<Str
         handles.push(handle);
     }
     (services, handles, addrs)
+}
+
+/// Fronts the shard at `addr` with a proxy that accepts nothing until
+/// `open` fires. Connections made before then wait in the listen backlog,
+/// so a client's hello blocks rather than fails. Returns the proxy's
+/// address.
+fn gated(addr: &str, open: mpsc::Receiver<()>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind gate");
+    let gate_addr = listener.local_addr().unwrap().to_string();
+    let addr = addr.to_string();
+    std::thread::spawn(move || {
+        let _ = open.recv();
+        for conn in listener.incoming() {
+            let Ok(client) = conn else { break };
+            let Ok(shard) = TcpStream::connect(&addr) else {
+                break;
+            };
+            let _ = (client.set_nodelay(true), shard.set_nodelay(true));
+            let pipes = [
+                (client.try_clone().unwrap(), shard.try_clone().unwrap()),
+                (shard, client),
+            ];
+            for (mut from, mut to) in pipes {
+                std::thread::spawn(move || {
+                    let _ = std::io::copy(&mut from, &mut to);
+                    let _ = to.shutdown(Shutdown::Write);
+                });
+            }
+        }
+    });
+    gate_addr
 }
 
 fn coordinator_over(addrs: Vec<String>) -> Coordinator {
@@ -186,9 +218,19 @@ fn dead_shard_reroutes_work_to_survivors() {
 #[test]
 fn mid_task_connection_loss_reassigns_the_task() {
     // A saboteur shard: answers the ping hello, then drops the connection
-    // on every shard_join without replying.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind saboteur");
-    let saboteur_addr = listener.local_addr().unwrap().to_string();
+    // on every shard_join without replying. The live shards sit behind
+    // gates that open only once the saboteur holds a task, so it always
+    // gets one, however fast the live shards drain the queue.
+    let (services, handles, live_addrs) = shard_cluster(2);
+    let mut gates = Vec::new();
+    let mut addrs = Vec::new();
+    for addr in &live_addrs {
+        let (open, gate) = mpsc::channel();
+        gates.push(open);
+        addrs.push(gated(addr, gate));
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind saboteur");
+    addrs.push(listener.local_addr().unwrap().to_string());
     let saboteur = std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(mut stream) = conn else { break };
@@ -207,14 +249,15 @@ fn mid_task_connection_loss_reassigns_the_task() {
                         break;
                     }
                 } else {
+                    for gate in gates.drain(..) {
+                        let _ = gate.send(());
+                    }
                     break; // drop the connection mid-task
                 }
             }
         }
     });
 
-    let (services, handles, mut addrs) = shard_cluster(2);
-    addrs.push(saboteur_addr);
     let coordinator = coordinator_over(addrs);
 
     let w = PaperWorkload::generate(WorkloadSpec::paper(2048, 1.2, 53));
