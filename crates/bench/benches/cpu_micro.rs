@@ -84,9 +84,6 @@ fn bench_skew_detection() {
     bench("sampling_1pct", 50, || {
         detect_skewed_keys(black_box(w.r.tuples()), &cfg)
     });
-    bench("misra_gries_full_scan", 10, || {
-        skewjoin::cpu::frequent::detect_heavy_hitters(black_box(w.r.tuples()), 2048, 0.001)
-    });
 }
 
 fn bench_full_joins() {

@@ -1,8 +1,6 @@
 //! Ablations over the design choices DESIGN.md calls out:
 //!
 //! 1. **CSH sample rate** (paper: 1 %) — detection cost vs. coverage.
-//! 2. **CSH detector** — the paper's sampling vs. the Misra–Gries
-//!    single-pass extension.
 //! 3. **GSH top-k** (paper: "k = 3 is sufficient") — simulated time and
 //!    detected keys as k varies.
 //! 4. **Cbase split factor** — how much the baseline's partition-splitting
@@ -15,7 +13,6 @@
 
 use std::time::Duration;
 
-use skewjoin::cpu::SkewDetectorKind;
 use skewjoin::prelude::*;
 use skewjoin_bench::{fmt_time, BenchArgs, BenchRecord};
 
@@ -68,37 +65,6 @@ fn main() {
             s.skewed_keys_detected
         );
         record.push(&format!("csh_rate_{rate}"), 1.0, s.total_time());
-    }
-
-    // ---- 2. Detector kind (zipf 1.0). ----
-    println!("\n[2] CSH detector @ zipf 1.0");
-    println!(
-        "{:>12} {:>12} {:>12} {:>10}",
-        "detector", "detect", "total", "skew keys"
-    );
-    let detectors: [(&str, SkewDetectorKind); 2] = [
-        ("sampling", SkewDetectorKind::Sampling),
-        (
-            "frequent",
-            SkewDetectorKind::Frequent {
-                capacity: 2048,
-                min_fraction: 0.001,
-            },
-        ),
-    ];
-    for (name, detector) in detectors {
-        let mut cfg = cpu_cfg(&args);
-        cfg.detector = detector;
-        let s = run_cpu(CpuAlgorithm::Csh, &hot, &cfg);
-        println!(
-            "{:>12} {:>12} {:>12} {:>10}",
-            name,
-            fmt_time(s.phases.get("sample")),
-            fmt_time(s.total_time()),
-            s.skewed_keys_detected
-        );
-        record.push(&format!("csh_detector_{name}"), 1.0, s.total_time());
-        record.attach_trace(&format!("csh_detector_{name}"), 1.0, &s);
     }
 
     // ---- 3. GSH top-k (zipf 1.0, simulated). ----

@@ -588,7 +588,7 @@ fn shard_worker(addr: &str, cfg: &ClusterConfig, dispatch: &Dispatch) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skewjoin::cpu::skew::SkewedKey;
+    use skewjoin::common::SkewedKey;
     use skewjoin::cpu::ShardRouter;
     use skewjoin_datagen::{PaperWorkload, WorkloadSpec};
     use skewjoin_service::{serve_shard, JoinService, ServerHandle, ServiceConfig};
@@ -621,7 +621,7 @@ mod tests {
         let s = Relation::from_keys(&[7, 7, 7, 7, 1, 2, 3]);
         let hot = vec![SkewedKey {
             key: 7,
-            sample_freq: 2,
+            frequency: 2,
         }];
         let mut router = ShardRouter::from_hot_keys(hot, 3);
         let out = scatter(&r, &s, &mut router);

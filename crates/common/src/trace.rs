@@ -77,13 +77,14 @@ pub mod counter {
 }
 
 /// A skewed key reported by a detector, with the frequency evidence that
-/// triggered detection (sample hits for sampling detectors, exact counts
-/// for exact detectors).
+/// triggered detection. CSH's sampler returns it, and the cluster's
+/// `ShardRouter`, the planner and the trace consume it as is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkewedKey {
     /// The detected join key.
     pub key: Key,
-    /// Observed frequency (sample hits or exact count, per detector).
+    /// Sample hits: how often the key was drawn by the detector's ~1 %
+    /// sample (CSH samples R; GSH samples each large partition).
     pub frequency: u64,
 }
 
@@ -466,7 +467,8 @@ impl PhaseTrace {
 pub struct Trace {
     /// Per-phase counters, in execution order.
     pub phases: Vec<PhaseTrace>,
-    /// Skewed keys the detector reported, with sample frequencies.
+    /// Skewed keys the detector reported, in detection order, with sample
+    /// hits.
     pub skewed_keys: Vec<SkewedKey>,
     /// Degradation decisions taken for this join (budget fits, GPU→CPU
     /// fallbacks, spill recoveries), in the order they were made. Empty on

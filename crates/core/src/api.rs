@@ -327,20 +327,14 @@ impl ShardPartition {
         }
         Ok(())
     }
-
-    /// Whether `key` may appear in this shard's inputs: either this shard
-    /// owns it, or it is a hot key exempt from ownership routing.
-    pub fn admits(&self, key: Key) -> bool {
-        shard_of(key, self.shards) == self.slot || self.hot_keys.contains(&key)
-    }
 }
 
 /// Runs one shard's slice of a sharded join, collecting per-worker sinks.
 ///
 /// With `restriction = None` this is exactly [`run_join_collecting`] plus
 /// config validation. With a [`ShardPartition`], both inputs are first
-/// checked against the routing contract — every tuple must be admitted by
-/// [`ShardPartition::admits`] — and a misrouted tuple surfaces as a typed
+/// checked against the routing contract — every key must be owned by this
+/// shard or be one of its hot keys — and a misrouted tuple surfaces as a typed
 /// [`JoinError::InvalidInput`] naming the first foreign key, rather than
 /// silently producing results a different shard will also produce. The
 /// returned trace carries a `shard` phase recording the geometry and the
@@ -731,6 +725,8 @@ mod tests {
 
     #[test]
     fn shard_partition_validates_geometry() {
+        use skewjoin_common::hash::shard_of;
+        use skewjoin_common::Tuple;
         let bad_shards = ShardPartition {
             slot: 0,
             shards: 0,
@@ -743,13 +739,35 @@ mod tests {
             hot_keys: vec![],
         };
         assert!(bad_slot.validate().is_err());
+        // Two keys slot 1 does not own: one registered hot, one cold.
+        let mut foreign = (0..100u32).filter(|&k| shard_of(k, 2) == 0);
+        let (hot, cold) = (foreign.next().unwrap(), foreign.next().unwrap());
         let ok = ShardPartition {
             slot: 1,
             shards: 2,
-            hot_keys: vec![7],
+            hot_keys: vec![hot],
         };
         assert!(ok.validate().is_ok());
-        assert!(ok.admits(7)); // hot key admitted regardless of owner
+        let cfg = JoinConfig::from(CpuJoinConfig::with_threads(1));
+        let join = |r: &Relation| {
+            run_shard_join(
+                Algorithm::Cpu(CpuAlgorithm::Cbase),
+                r,
+                r,
+                &cfg,
+                Some(&ok),
+                CountSinkFactory,
+            )
+        };
+        // A hot key is admitted regardless of owner ...
+        let hot_r = Relation::from_tuples(vec![Tuple::new(hot, 0)]);
+        assert_eq!(join(&hot_r).unwrap().stats.result_count, 1);
+        // ... a foreign cold key is not.
+        let cold_r = Relation::from_tuples(vec![Tuple::new(cold, 0)]);
+        match join(&cold_r) {
+            Err(JoinError::InvalidInput(msg)) => assert!(msg.contains(&cold.to_string()), "{msg}"),
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
     }
 
     #[test]

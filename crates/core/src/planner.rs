@@ -125,7 +125,7 @@ impl JoinPlan {
                 "sample found {} skewed key(s) (hottest sampled {}×): choosing the \
                  skew-conscious join",
                 skewed.len(),
-                skewed.first().map(|k| k.sample_freq).unwrap_or(0)
+                skewed.first().map(|k| k.frequency).unwrap_or(0)
             )
         } else {
             "sample found no skewed keys: baseline radix join has less overhead".to_string()
@@ -460,19 +460,13 @@ fn narrow_to_fit(
 // Plan cache
 // ---------------------------------------------------------------------------
 
-/// Cache key: a cheap relation fingerprint plus coarse size and skew
-/// buckets. Two relations that hash to the same key are "the same input for
-/// planning purposes" — same algorithm choice, not necessarily identical
-/// data.
+/// Cache key: a cheap relation fingerprint and the target device. Two
+/// relations that hash to the same key are "the same input for planning
+/// purposes" — same algorithm choice, not necessarily identical data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanCacheKey {
     /// [`relation_fingerprint`] of the build side.
     pub fingerprint: u64,
-    /// `log2(|R|)` — plans only transfer within a power-of-two size class.
-    pub size_bucket: u32,
-    /// Coarse skew bucket from a strided micro-sample (see
-    /// [`skew_bucket`]): 0 = no repeats observed … 3 = one key dominates.
-    pub skew_bucket: u8,
     /// The device the plan targets.
     pub device: TargetDevice,
 }
@@ -491,32 +485,6 @@ pub fn relation_fingerprint(rel: &Relation) -> u64 {
         h = mix64(h ^ u64::from(rel[i].key).wrapping_mul(0xA24B_AED4_963E_E407));
     }
     h
-}
-
-/// Buckets the skew level of a relation from a 256-key strided micro-sample:
-/// the highest within-sample key frequency maps to `0` (all distinct),
-/// `1` (light repeats, ≤3), `2` (heavy repeats, ≤15), or `3` (a dominant
-/// hot key). Deterministic, and far cheaper than the planner's CSH-style
-/// sampling pass it lets cached queries skip.
-pub fn skew_bucket(rel: &Relation) -> u8 {
-    let n = rel.len();
-    if n == 0 {
-        return 0;
-    }
-    let stride = (n / 256).max(1);
-    let mut freq: HashMap<u32, u32> = HashMap::new();
-    let mut max = 0u32;
-    for i in (0..n).step_by(stride).take(256) {
-        let f = freq.entry(rel[i].key).or_insert(0);
-        *f += 1;
-        max = max.max(*f);
-    }
-    match max {
-        0..=1 => 0,
-        2..=3 => 1,
-        4..=15 => 2,
-        _ => 3,
-    }
 }
 
 struct PlanCacheInner {
@@ -556,8 +524,6 @@ impl PlanCache {
     pub fn key_for(r: &Relation, opts: &PlannerOptions) -> PlanCacheKey {
         PlanCacheKey {
             fingerprint: relation_fingerprint(r),
-            size_bucket: (r.len().max(1) as u64).ilog2(),
-            skew_bucket: skew_bucket(r),
             device: opts.device,
         }
     }
@@ -960,8 +926,6 @@ mod tests {
         let b = PaperWorkload::generate(WorkloadSpec::paper(4096, 0.0, 8)).r;
         assert_eq!(relation_fingerprint(&a), relation_fingerprint(&a));
         assert_ne!(relation_fingerprint(&a), relation_fingerprint(&b));
-        // Skew buckets order correctly at the extremes.
-        assert!(skew_bucket(&a) >= skew_bucket(&b));
     }
 
     #[test]

@@ -11,24 +11,6 @@ use crate::task::SchedulerKind;
 /// work-stealing scheduler balanced).
 pub const DEFAULT_MORSEL_TUPLES: usize = 16 * 1024;
 
-/// Which mechanism CSH uses to find skewed keys before partitioning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SkewDetectorKind {
-    /// The paper's detector: sample ~1 % of R, threshold on sample
-    /// frequency (cheap, probabilistic).
-    Sampling,
-    /// Extension: a single-pass Misra–Gries *Frequent* summary over all of
-    /// R — deterministic coverage of every key above `min_fraction` of the
-    /// table, at the cost of a full scan.
-    Frequent {
-        /// Counters in the summary; must exceed `1 / min_fraction` for the
-        /// no-false-negative guarantee.
-        capacity: usize,
-        /// Keys above this fraction of the table are skewed.
-        min_fraction: f64,
-    },
-}
-
 /// Skew-detection parameters for CSH (§IV-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewDetectConfig {
@@ -87,9 +69,6 @@ pub struct CpuJoinConfig {
     pub extra_pass_bits: u32,
     /// CSH skew detection parameters.
     pub skew: SkewDetectConfig,
-    /// Which detector CSH runs (sampling per the paper, or the Misra–Gries
-    /// extension).
-    pub detector: SkewDetectorKind,
     /// Scheduler driving the partition-refinement and join task pools.
     pub scheduler: SchedulerKind,
     /// Bucket bits per partition hash table are sized to the build side; this
@@ -124,7 +103,6 @@ impl Default for CpuJoinConfig {
             split_factor: 3.0,
             extra_pass_bits: 4,
             skew: SkewDetectConfig::default(),
-            detector: SkewDetectorKind::Sampling,
             scheduler: SchedulerKind::default(),
             max_bucket_bits: 22,
             simd: SimdPolicy::default(),
@@ -198,29 +176,6 @@ impl CpuJoinConfig {
                 self.morsel_tuples
             )));
         }
-        if let SkewDetectorKind::Frequent {
-            capacity,
-            min_fraction,
-        } = self.detector
-        {
-            if capacity == 0 {
-                return Err(JoinError::InvalidConfig(
-                    "Frequent detector needs at least one counter".into(),
-                ));
-            }
-            if !(min_fraction > 0.0 && min_fraction < 1.0) {
-                return Err(JoinError::InvalidConfig(
-                    "Frequent min_fraction must be in (0, 1)".into(),
-                ));
-            }
-            if (capacity as f64) < 1.0 / min_fraction {
-                return Err(JoinError::InvalidConfig(format!(
-                    "Frequent capacity {capacity} breaks the no-false-negative \
-                     guarantee for min_fraction {min_fraction} (needs > {:.0})",
-                    1.0 / min_fraction
-                )));
-            }
-        }
         if let Some(spill) = &self.spill {
             spill.validate()?;
         }
@@ -283,33 +238,5 @@ mod tests {
         assert!(cfg.validate().is_ok());
         cfg.morsel_tuples = 1 << 24;
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn frequent_detector_validation() {
-        let mut cfg = CpuJoinConfig::default();
-        cfg.detector = SkewDetectorKind::Frequent {
-            capacity: 1024,
-            min_fraction: 0.01,
-        };
-        cfg.validate().unwrap();
-
-        cfg.detector = SkewDetectorKind::Frequent {
-            capacity: 10, // < 1 / 0.01: guarantee broken
-            min_fraction: 0.01,
-        };
-        assert!(cfg.validate().is_err());
-
-        cfg.detector = SkewDetectorKind::Frequent {
-            capacity: 0,
-            min_fraction: 0.01,
-        };
-        assert!(cfg.validate().is_err());
-
-        cfg.detector = SkewDetectorKind::Frequent {
-            capacity: 1024,
-            min_fraction: 1.5,
-        };
-        assert!(cfg.validate().is_err());
     }
 }

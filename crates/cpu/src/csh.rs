@@ -1,10 +1,9 @@
 //! **CSH** — the paper's CPU Skew-conscious Hash join (§IV-A): Cbase's
 //! radix join plus two additions.
 //!
-//! 1. **Detect** skewed keys before partitioning — by sampling ~1 % of R
-//!    (keys sampled at least twice are skewed) or with the Misra–Gries
-//!    extension — and give each a dedicated skewed partition in the
-//!    [`SkewCheckupTable`].
+//! 1. **Detect** skewed keys before partitioning by sampling ~1 % of R
+//!    (keys sampled at least twice are skewed, [`detect_skewed_keys`]) and
+//!    give each a dedicated skewed partition in the [`SkewCheckupTable`].
 //! 2. **Route** every tuple through the checkup table while partitioning.
 //!    This is a router hook on the morsel pipeline Cbase runs
 //!    ([`crate::morsel`]): hot R tuples go to per-key runs instead of radix
@@ -28,7 +27,7 @@ use std::time::Instant;
 use skewjoin_common::trace::counter;
 use skewjoin_common::{JoinError, JoinStats, OutputSink, Relation};
 
-use crate::config::{CpuJoinConfig, SkewDetectorKind};
+use crate::config::CpuJoinConfig;
 use crate::morsel::{run_pipeline, Flavor};
 use crate::skew::{detect_skewed_keys, SkewCheckupTable};
 use crate::{aggregate_sinks, JoinOutcome};
@@ -70,19 +69,11 @@ where
 
     cfg.cancel.check("sample")?;
     let t0 = Instant::now();
-    let skewed = match cfg.detector {
-        SkewDetectorKind::Sampling => detect_skewed_keys(r, &cfg.skew),
-        SkewDetectorKind::Frequent {
-            capacity,
-            min_fraction,
-        } => crate::frequent::detect_heavy_hitters(r, capacity, min_fraction),
-    };
+    let skewed = detect_skewed_keys(r, &cfg.skew);
     let checkup = SkewCheckupTable::build(&skewed);
     stats.phases.record("sample", t0.elapsed());
     stats.skewed_keys_detected = skewed.len();
-    for sk in &skewed {
-        stats.trace.record_skewed_key(sk.key, sk.sample_freq as u64);
-    }
+    stats.trace.skewed_keys.extend_from_slice(&skewed);
     stats
         .trace
         .set("sample", counter::SKEWED_KEYS, skewed.len() as u64);
@@ -191,19 +182,6 @@ mod tests {
                 "missing phase {phase}"
             );
         }
-    }
-
-    #[test]
-    fn frequent_detector_matches_reference_and_sampling() {
-        let w = PaperWorkload::generate(WorkloadSpec::paper(8192, 1.0, 29));
-        let mut cfg = CpuJoinConfig::with_threads(4);
-        cfg.detector = SkewDetectorKind::Frequent {
-            capacity: 512,
-            min_fraction: 0.005,
-        };
-        let stats = assert_matches_reference(&w.r, &w.s, &cfg);
-        assert!(stats.skewed_keys_detected > 0);
-        assert!(stats.skew_output_fraction() > 0.5);
     }
 
     #[test]

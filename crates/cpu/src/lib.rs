@@ -26,7 +26,6 @@
 pub mod cbase;
 pub mod config;
 pub mod csh;
-pub mod frequent;
 pub mod hashtable;
 pub mod morsel;
 pub mod npj;
@@ -40,7 +39,7 @@ pub mod task;
 pub mod util;
 
 pub use cbase::cbase_join;
-pub use config::{CpuJoinConfig, SkewDetectConfig, SkewDetectorKind, DEFAULT_MORSEL_TUPLES};
+pub use config::{CpuJoinConfig, SkewDetectConfig, DEFAULT_MORSEL_TUPLES};
 pub use csh::csh_join;
 pub use npj::npj_join;
 pub use reference::reference_join;

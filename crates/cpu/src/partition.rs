@@ -161,10 +161,10 @@ mod tests {
     use crate::morsel::tests::{partition_layout, Layout};
     use crate::morsel::Flavor;
     use crate::simd::SimdPolicy;
-    use crate::skew::{SkewCheckupTable, SkewedKey};
+    use crate::skew::SkewCheckupTable;
     use crate::task::SchedulerKind;
     use skewjoin_common::hash::RadixMode;
-    use skewjoin_common::Relation;
+    use skewjoin_common::{Relation, SkewedKey};
 
     fn test_relation(n: usize) -> Relation {
         Relation::from_tuples(
@@ -336,10 +336,7 @@ mod tests {
         let rel = Relation::from_tuples(tuples.clone());
         let skewed: Vec<SkewedKey> = hot_keys
             .iter()
-            .map(|&key| SkewedKey {
-                key,
-                sample_freq: 2,
-            })
+            .map(|&key| SkewedKey { key, frequency: 2 })
             .collect();
         let table = SkewCheckupTable::build(&skewed);
         let cfg = config(RadixConfig::two_pass(6), 3);

@@ -23,10 +23,10 @@
 //! build side before scattering.
 
 use skewjoin_common::hash::shard_of;
-use skewjoin_common::{Key, Tuple};
+use skewjoin_common::{Key, SkewedKey, Tuple};
 
 use crate::config::SkewDetectConfig;
-use crate::skew::{detect_skewed_keys, SkewCheckupTable, SkewedKey};
+use crate::skew::{detect_skewed_keys, SkewCheckupTable};
 
 /// Where one build-side (R) tuple must be sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,10 +120,7 @@ mod tests {
     fn router(hot_keys: &[Key], shards: usize) -> ShardRouter {
         let hot = hot_keys
             .iter()
-            .map(|&key| SkewedKey {
-                key,
-                sample_freq: 2,
-            })
+            .map(|&key| SkewedKey { key, frequency: 2 })
             .collect();
         ShardRouter::from_hot_keys(hot, shards)
     }

@@ -11,21 +11,13 @@
 use std::collections::HashMap;
 
 use skewjoin_common::hash::{mix32, mix64};
-use skewjoin_common::{faults, Key, Tuple};
+use skewjoin_common::{faults, Key, SkewedKey, Tuple};
 
 use crate::config::SkewDetectConfig;
 
-/// A detected skewed key and its sample frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SkewedKey {
-    /// The key value.
-    pub key: Key,
-    /// How many times the key appeared in the sample.
-    pub sample_freq: u32,
-}
-
 /// Samples `tuples` and returns the keys whose sample frequency reaches the
-/// configured threshold, hottest first.
+/// configured threshold, hottest first; each key's `frequency` is its
+/// number of sample hits.
 ///
 /// Sampling is strided with a pseudo-random phase per stride window: cheap,
 /// deterministic per seed, and unbiased — every tuple is selected with
@@ -50,7 +42,7 @@ pub struct SkewedKey {
 ///   cares about) is unaffected.
 pub fn detect_skewed_keys(tuples: &[Tuple], cfg: &SkewDetectConfig) -> Vec<SkewedKey> {
     let stride = (1.0 / cfg.sample_rate).round().max(1.0) as usize;
-    let mut freq: HashMap<Key, u32> = HashMap::new();
+    let mut freq: HashMap<Key, u64> = HashMap::new();
     let mut window_start = 0usize;
     let mut counter = cfg.seed;
     while window_start < tuples.len() {
@@ -69,11 +61,11 @@ pub fn detect_skewed_keys(tuples: &[Tuple], cfg: &SkewDetectConfig) -> Vec<Skewe
 
     let mut skewed: Vec<SkewedKey> = freq
         .into_iter()
-        .filter(|&(_, f)| f >= cfg.min_sample_freq)
-        .map(|(key, sample_freq)| SkewedKey { key, sample_freq })
+        .filter(|&(_, f)| f >= u64::from(cfg.min_sample_freq))
+        .map(|(key, frequency)| SkewedKey { key, frequency })
         .collect();
     // Hottest first; tie-break on key for determinism.
-    skewed.sort_unstable_by(|a, b| b.sample_freq.cmp(&a.sample_freq).then(a.key.cmp(&b.key)));
+    skewed.sort_unstable_by(|a, b| b.frequency.cmp(&a.frequency).then(a.key.cmp(&b.key)));
     // Chaos hook: a mis-detection fault drops the hottest key, forcing the
     // undetected-heavy-key path — the NM-join must still produce correct
     // results for the key CSH failed to special-case, just slower.
@@ -293,7 +285,7 @@ mod tests {
         // All 13 keys appear ≥ 76 times; a full scan must report them all
         // with their exact frequencies.
         assert_eq!(skewed.len(), 13);
-        let total: u32 = skewed.iter().map(|s| s.sample_freq).sum();
+        let total: u64 = skewed.iter().map(|s| s.frequency).sum();
         assert_eq!(total, 997);
     }
 
@@ -302,15 +294,15 @@ mod tests {
         let skewed = vec![
             SkewedKey {
                 key: 100,
-                sample_freq: 9,
+                frequency: 9,
             },
             SkewedKey {
                 key: 200,
-                sample_freq: 5,
+                frequency: 5,
             },
             SkewedKey {
                 key: 300,
-                sample_freq: 2,
+                frequency: 2,
             },
         ];
         let table = SkewCheckupTable::build(&skewed);
@@ -337,11 +329,11 @@ mod tests {
         let skewed = vec![
             SkewedKey {
                 key: 1,
-                sample_freq: 2,
+                frequency: 2,
             },
             SkewedKey {
                 key: 2,
-                sample_freq: 2,
+                frequency: 2,
             },
         ];
         let mut table = SkewCheckupTable::build(&skewed);
@@ -363,7 +355,7 @@ mod tests {
         let skewed: Vec<SkewedKey> = (0..1000)
             .map(|i| SkewedKey {
                 key: i * 31 + 7,
-                sample_freq: 2,
+                frequency: 2,
             })
             .collect();
         let table = SkewCheckupTable::build(&skewed);

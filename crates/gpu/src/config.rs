@@ -6,19 +6,6 @@ use skewjoin_gpu_sim::DeviceSpec;
 
 use crate::backend::GpuBackendKind;
 
-/// How GSH finds skewed keys inside a large partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GpuDetectionMode {
-    /// The paper's detector: sample ~1 % of the partition into a
-    /// linear-probing shared-memory table.
-    #[default]
-    Sampled,
-    /// Extension: exact per-key counts via global-memory atomics — no
-    /// misses, but the full partition is hashed and the atomics are paid at
-    /// global latency. The `ablation` harness quantifies the trade-off.
-    Exact,
-}
-
 /// Skew parameters for GSH (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSkewConfig {
@@ -29,8 +16,6 @@ pub struct GpuSkewConfig {
     pub top_k: usize,
     /// Sampling seed.
     pub seed: u64,
-    /// Detection mode (sampled per the paper, or exact counting).
-    pub detection: GpuDetectionMode,
 }
 
 impl Default for GpuSkewConfig {
@@ -39,7 +24,6 @@ impl Default for GpuSkewConfig {
             sample_rate: 0.01,
             top_k: 3,
             seed: 0x6B5E_0D5E,
-            detection: GpuDetectionMode::Sampled,
         }
     }
 }

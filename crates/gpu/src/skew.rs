@@ -1,7 +1,11 @@
-//! GSH's post-partition skew machinery (§IV-B steps 2–3 and 5):
-//! sampling-based detection in large partitions, splitting large partitions
-//! into per-skewed-key arrays plus a normal residue, and the dedicated
-//! skew-output kernel (one thread block per skewed R tuple).
+//! GSH's post-partition skew machinery (§IV-B steps 2–3 and 5): detection
+//! in large partitions, splitting large partitions into per-skewed-key
+//! arrays plus a normal residue, and the dedicated skew-output kernel (one
+//! thread block per skewed R tuple).
+//!
+//! Detection follows the paper: a ~1 % strided sample of each large
+//! partition is counted in a shared-memory table, and the top-k keys seen
+//! at least twice are skewed ([`detect_skew`]).
 
 use skewjoin_common::hash::mix32;
 use skewjoin_common::{JoinError, Key, OutputSink};
@@ -19,8 +23,7 @@ pub struct DetectedSkew {
     pub pid: usize,
     /// Up to `top_k` keys, most frequent in the sample first.
     pub keys: Vec<Key>,
-    /// Observed frequency of each key (sample counts for `Sampled`
-    /// detection, true counts for `Exact`); parallel to `keys`.
+    /// Sample hits of each key; parallel to `keys`.
     pub freqs: Vec<u64>,
 }
 
@@ -37,84 +40,23 @@ pub fn detect_skew(
     if large_pids.is_empty() {
         return Ok(Vec::new());
     }
-    let results = match cfg.detection {
-        crate::config::GpuDetectionMode::Sampled => {
-            let mut kernel = SampleKernel {
-                parted: parted_r,
-                pids: large_pids,
-                cfg,
-                results: vec![Vec::new(); large_pids.len()],
-                scratch_idx: Vec::new(),
-                scratch_vals: Vec::new(),
-            };
-            backend.launch("gsh_detect", large_pids.len(), block_dim, &mut kernel)?;
-            kernel.results
-        }
-        crate::config::GpuDetectionMode::Exact => {
-            let mut kernel = ExactCountKernel {
-                parted: parted_r,
-                pids: large_pids,
-                top_k: cfg.top_k,
-                results: vec![Vec::new(); large_pids.len()],
-            };
-            backend.launch("gsh_detect_exact", large_pids.len(), block_dim, &mut kernel)?;
-            kernel.results
-        }
+    let mut kernel = SampleKernel {
+        parted: parted_r,
+        pids: large_pids,
+        cfg,
+        results: vec![Vec::new(); large_pids.len()],
+        scratch_idx: Vec::new(),
+        scratch_vals: Vec::new(),
     };
+    backend.launch("gsh_detect", large_pids.len(), block_dim, &mut kernel)?;
     Ok(large_pids
         .iter()
-        .zip(results)
+        .zip(kernel.results)
         .map(|(&pid, entries)| {
             let (keys, freqs) = entries.into_iter().unzip();
             DetectedSkew { pid, keys, freqs }
         })
         .collect())
-}
-
-/// Exact detection: hash every tuple of the partition through a
-/// global-memory count table (one global atomic per tuple — the cost the
-/// paper's sampling avoids), then take the true top-k.
-struct ExactCountKernel<'a> {
-    parted: &'a DevicePartitioned,
-    pids: &'a [usize],
-    top_k: usize,
-    results: Vec<Vec<(Key, u64)>>,
-}
-
-impl DeviceKernel for ExactCountKernel<'_> {
-    fn block(&mut self, ctx: &mut dyn BlockOps) {
-        let pid = self.pids[ctx.block_idx()];
-        let range = self.parted.range(pid);
-        let len = range.len();
-        if len == 0 {
-            return;
-        }
-        // Stream the partition (coalesced) and charge one global atomic per
-        // warp with moderate serialization (hot keys collide on a counter).
-        ctx.account_contiguous_read(self.parted.buf, len);
-        let warp = ctx.warp_size() as u64;
-        let warps = (len as u64).div_ceil(warp);
-        ctx.alu(warps * 2);
-        ctx.charge_global_atomics(warps, 4);
-
-        // Functional exact counts.
-        let mut counts: std::collections::HashMap<Key, u64> = std::collections::HashMap::new();
-        for i in range {
-            let key = key_of(ctx.read_run(self.parted.buf, i));
-            *counts.entry(key).or_default() += 1;
-        }
-        // Top-k scan of the count table (read back, coalesced).
-        ctx.account_contiguous_read(self.parted.buf, counts.len().min(len));
-        let mut entries: Vec<(u64, Key)> = counts.into_iter().map(|(k, c)| (c, k)).collect();
-        entries.sort_unstable_by(|a, b| b.cmp(a));
-        self.results[ctx.block_idx()] = entries
-            .into_iter()
-            .filter(|&(c, _)| c >= 2)
-            .take(self.top_k)
-            .map(|(c, k)| (k, c))
-            .collect();
-        ctx.account_stream_bytes((self.top_k * 8) as u64);
-    }
 }
 
 struct SampleKernel<'a> {
@@ -526,44 +468,6 @@ mod tests {
             found[0].keys.is_empty(),
             "uniform data flagged {:?}",
             found[0].keys
-        );
-    }
-
-    #[test]
-    fn exact_detection_finds_true_top_keys() {
-        let mut dev = backend();
-        let mut keys = vec![100u32; 3000];
-        keys.extend(vec![200u32; 2000]);
-        keys.extend(0..3000u32);
-        let rel = Relation::from_keys(&keys);
-        let parted = single_partition(&mut dev, &rel);
-        let mut cfg = GpuSkewConfig::default();
-        cfg.detection = crate::config::GpuDetectionMode::Exact;
-        let found = detect_skew(&mut dev, &parted, &[0], &cfg, 64).unwrap();
-        assert_eq!(found[0].keys[0], 100, "exact top-1 must be the hottest key");
-        assert_eq!(found[0].keys[1], 200);
-    }
-
-    #[test]
-    fn exact_detection_costs_more_than_sampling() {
-        let keys: Vec<u32> = (0..20_000u32).map(|i| i % 500).collect();
-        let rel = Relation::from_keys(&keys);
-
-        let mut dev_a = backend();
-        let parted_a = single_partition(&mut dev_a, &rel);
-        detect_skew(&mut dev_a, &parted_a, &[0], &GpuSkewConfig::default(), 64).unwrap();
-
-        let mut dev_b = backend();
-        let parted_b = single_partition(&mut dev_b, &rel);
-        let mut cfg = GpuSkewConfig::default();
-        cfg.detection = crate::config::GpuDetectionMode::Exact;
-        detect_skew(&mut dev_b, &parted_b, &[0], &cfg, 64).unwrap();
-
-        assert!(
-            dev_b.total_cycles() > dev_a.total_cycles(),
-            "exact {} ≤ sampled {}",
-            dev_b.total_cycles(),
-            dev_a.total_cycles()
         );
     }
 

@@ -6,6 +6,7 @@
 
 use skewjoin::common::trace::counter;
 use skewjoin::common::{JoinStats, SinkSpec, Trace};
+use skewjoin::cpu::skew::detect_skewed_keys;
 use skewjoin::prelude::*;
 use skewjoin_integration::{cpu_config, gpu_config, CaseSpec};
 
@@ -18,15 +19,20 @@ fn spec() -> CaseSpec {
     }
 }
 
-/// Runs every algorithm on the same small, heavily skewed workload and
-/// returns the stats, labelled.
-fn run_all() -> Vec<JoinStats> {
+/// The small, heavily skewed workload every test here runs, and its config.
+fn workload() -> (PaperWorkload, JoinConfig) {
     let spec = spec();
     let w = PaperWorkload::generate(WorkloadSpec::paper(spec.size, spec.zipf, spec.seed));
     let cfg = JoinConfig {
         cpu: cpu_config(spec),
         gpu: gpu_config(spec),
     };
+    (w, cfg)
+}
+
+/// Runs every algorithm on [`workload`] and returns the stats, labelled.
+fn run_all() -> Vec<JoinStats> {
+    let (w, cfg) = workload();
     let mut all = Vec::new();
     for algo in Algorithm::ALL {
         all.push(skewjoin::run_join(algo, &w.r, &w.s, &cfg, SinkSpec::Count).unwrap());
@@ -164,6 +170,15 @@ fn skew_aware_algorithms_report_detected_keys() {
                 sk.frequency > 0,
                 "{name}: key {} recorded with zero frequency",
                 sk.key
+            );
+        }
+        if name == "CSH" {
+            // The detector's keys reach the trace unchanged: same keys,
+            // same order (hottest first), same sample frequencies.
+            let (w, cfg) = workload();
+            assert_eq!(
+                stats.trace.skewed_keys,
+                detect_skewed_keys(&w.r, &cfg.cpu.skew)
             );
         }
     }
