@@ -1,16 +1,16 @@
 //! Micro-benchmarks of the CPU join building blocks: radix partitioning
 //! (the pipeline's partition phase, R joined against an empty S so no join
-//! task runs), hash table build/probe, skew detection, and the full joins
-//! at two skew levels. Prints mean time per iteration (see
-//! `skewjoin_bench::micro`).
+//! task runs), hash table build/probe, skew detection, the sinks' hot-run
+//! checksum, and the full joins at two skew levels. Prints mean time per
+//! iteration (see `skewjoin_bench::micro`).
 
 use skewjoin::common::hash::RadixConfig;
-use skewjoin::common::CountingSink;
+use skewjoin::common::{CountingSink, OutputSink};
 use skewjoin::cpu::hashtable::ChainedTable;
 use skewjoin::cpu::skew::detect_skewed_keys;
 use skewjoin::cpu::{cbase_join, csh_join};
 use skewjoin::prelude::*;
-use skewjoin_bench::micro::{bench, black_box, group};
+use skewjoin_bench::micro::{bench, black_box, compare, group};
 
 const N: usize = 1 << 18;
 
@@ -86,6 +86,74 @@ fn bench_skew_detection() {
     });
 }
 
+/// One hot key's output on `skewed` (2^15 tuples, θ 1): a run of 3 000
+/// tuples crossed with 1 000 tuples of the other side, 3 M results, through
+/// `CountingSink` one result at a time and a run at a time.
+fn bench_run_checksum() {
+    group("sink_run_checksum");
+    let run: Vec<Tuple> = (0..3000u32)
+        .map(|p| Tuple::new(7, p.wrapping_mul(0x9E37_79B1)))
+        .collect();
+    let other = 0..1000u32;
+    let sum = |sink: CountingSink| black_box(sink.checksum());
+    compare(
+        "r_run_3000x1000",
+        5,
+        vec![
+            (
+                "emit",
+                Box::new(|| {
+                    let mut sink = CountingSink::new();
+                    for s in other.clone() {
+                        for r in black_box(&run) {
+                            sink.emit(7, r.payload, s);
+                        }
+                    }
+                    sum(sink);
+                }),
+            ),
+            (
+                "emit_r_run",
+                Box::new(|| {
+                    let mut sink = CountingSink::new();
+                    for s in other.clone() {
+                        sink.emit_r_run(7, black_box(&run), s);
+                    }
+                    sum(sink);
+                }),
+            ),
+        ],
+    );
+    compare(
+        "s_run_1000x3000",
+        5,
+        vec![
+            (
+                "emit",
+                Box::new(|| {
+                    let mut sink = CountingSink::new();
+                    for r in other.clone() {
+                        for s in black_box(&run) {
+                            sink.emit(7, r, s.payload);
+                        }
+                    }
+                    sum(sink);
+                }),
+            ),
+            (
+                "emit_s_run",
+                Box::new(|| {
+                    let mut sink = CountingSink::new();
+                    for r in other.clone() {
+                        sink.emit_s_run(7, r, black_box(&run));
+                    }
+                    sum(sink);
+                }),
+            ),
+        ],
+    );
+}
+
 fn bench_full_joins() {
     group("cpu_join");
     for &zipf in &[0.25f64, 0.9] {
@@ -103,5 +171,6 @@ fn main() {
     bench_partitioning();
     bench_hash_table();
     bench_skew_detection();
+    bench_run_checksum();
     bench_full_joins();
 }

@@ -8,6 +8,11 @@
 //! 5. **Radix fan-out** — partition/join balance.
 //! 6. **Gbase bucket capacity** — allocation granularity of its dynamic
 //!    partitioning.
+//! 8. **SM count** — GSH's speedup over Gbase as the device widens.
+//!
+//! The run exits 1 when the GSH sections measured no skew handling: no
+//! skewed key at k = 3 in [3], or GSH no faster than Gbase at 108 SMs in
+//! [8]. Both mean `--gpu-tuples` is too small for the GSH skew path.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -46,6 +51,7 @@ fn main() {
     let mut record = BenchRecord::new("ablation", &args);
     let hot = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, 1.0, args.seed));
     let warm = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, 0.8, args.seed));
+    let mut unmeasured: Vec<String> = Vec::new();
 
     // ---- 1. CSH sample rate (zipf 1.0). ----
     println!("[1] CSH sample rate @ zipf 1.0 ({} tuples)", args.tuples);
@@ -89,6 +95,9 @@ fn main() {
             s.skewed_keys_detected
         );
         record.push(&format!("gsh_topk_{k}"), 1.0, s.total_time());
+        if k == 3 && s.skewed_keys_detected == 0 {
+            unmeasured.push("[3] GSH found no skewed key at k = 3".to_string());
+        }
     }
 
     // ---- 4. Cbase split factor (zipf 0.8). ----
@@ -165,6 +174,9 @@ fn main() {
         );
         record.push(&format!("gbase_sms_{sms}"), 1.0, gb.total_time());
         record.push(&format!("gsh_sms_{sms}"), 1.0, gs.total_time());
+        if sms == 108 && gs.total_time() >= gb.total_time() {
+            unmeasured.push("[8] GSH does not beat Gbase at 108 SMs".to_string());
+        }
     }
 
     // Keep the record from exploding if someone adds zero-duration phases.
@@ -172,4 +184,10 @@ fn main() {
         .measurements
         .retain(|m| m.seconds >= 0.0 && Duration::from_secs_f64(m.seconds) < Duration::MAX);
     record.write(&args);
+    if !unmeasured.is_empty() {
+        for line in &unmeasured {
+            eprintln!("ablation: {line} ({} GPU tuples)", args.gpu_tuples);
+        }
+        std::process::exit(1);
+    }
 }

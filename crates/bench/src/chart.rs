@@ -111,7 +111,7 @@ pub fn render_chart(measurements: &[Measurement], opts: &ChartOptions) -> String
         out.push('\n');
     }
     out.push('+');
-    out.extend(std::iter::repeat('-').take(opts.width));
+    out.extend(std::iter::repeat_n('-', opts.width));
     out.push('\n');
     out.push_str(&format!(" x: zipf {x_min:.1} … {x_max:.1}\n"));
     for (si, name) in order.iter().enumerate() {

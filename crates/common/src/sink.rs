@@ -11,6 +11,15 @@
 //! Every sink maintains the same count + checksum pair, so algorithms with
 //! different output *orders* (radix vs no-partition vs GPU) can still be
 //! compared for exact result-set equality.
+//!
+//! The skew-conscious joins emit a hot key's output a run at a time
+//! ([`OutputSink::emit_r_run`], [`OutputSink::emit_s_run`]), and under
+//! product skew those runs are nearly all of the output. [`CountingSink`]
+//! and [`KeyCountSink`] checksum a run in one call ([`r_run_checksum`],
+//! [`s_run_checksum`]): one plain fold compiled three ways — AVX-512DQ,
+//! AVX2 and baseline — with the widest the CPU reports chosen once per
+//! process. The per-result [`tuple_mix`] stays the specification; the run
+//! kernels are bit-identical to summing it.
 
 use std::collections::BTreeMap;
 
@@ -39,6 +48,121 @@ pub fn tuple_mix(key: Key, r_payload: Payload, s_payload: Payload) -> u64 {
     mix64(a ^ mix64(s_payload as u64))
 }
 
+/// The wrapping sum of [`tuple_mix`] over a run of R tuples that share
+/// `key`, each crossed with one S payload: bit for bit the checksum the
+/// per-result loop of [`OutputSink::emit_r_run`]'s default adds.
+#[inline]
+pub fn r_run_checksum(key: Key, r_tuples: &[Tuple], s_payload: Payload) -> u64 {
+    run_checksum::<true>(key, r_tuples, s_payload)
+}
+
+/// The wrapping sum of [`tuple_mix`] over one R payload crossed with a run
+/// of S tuples that share `key`: bit for bit the checksum the per-result
+/// loop of [`OutputSink::emit_s_run`]'s default adds.
+#[inline]
+pub fn s_run_checksum(key: Key, r_payload: Payload, s_tuples: &[Tuple]) -> u64 {
+    run_checksum::<false>(key, s_tuples, r_payload)
+}
+
+/// Runs shorter than one AVX-512 vector of `u64` lanes skip the dispatch
+/// and take the inline loop (`uniform`'s hot keys have runs of 1–2).
+const VECTOR_RUN: usize = 8;
+
+#[inline]
+fn run_checksum<const R_RUN: bool>(key: Key, run: &[Tuple], fixed: Payload) -> u64 {
+    if run.len() < VECTOR_RUN {
+        fold_run::<R_RUN>(key, run, fixed)
+    } else {
+        RunKernel::detect().fold::<R_RUN>(key, run, fixed)
+    }
+}
+
+/// The one body every [`RunKernel`] compiles: `run` is the R side when
+/// `R_RUN`, else the S side, and `fixed` is the other side's payload.
+/// Written as a plain fold so LLVM vectorises it for whatever target
+/// features the enclosing function enables.
+#[inline(always)]
+fn fold_run<const R_RUN: bool>(key: Key, run: &[Tuple], fixed: Payload) -> u64 {
+    let high = u64::from(key) << 32;
+    if R_RUN {
+        let s_mix = mix64(u64::from(fixed));
+        run.iter().fold(0u64, |sum, r| {
+            sum.wrapping_add(mix64((high | u64::from(r.payload)) ^ s_mix))
+        })
+    } else {
+        let a = high | u64::from(fixed);
+        run.iter().fold(0u64, |sum, s| {
+            sum.wrapping_add(mix64(a ^ mix64(u64::from(s.payload))))
+        })
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn fold_run_avx512<const R_RUN: bool>(key: Key, run: &[Tuple], fixed: Payload) -> u64 {
+    fold_run::<R_RUN>(key, run, fixed)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_run_avx2<const R_RUN: bool>(key: Key, run: &[Tuple], fixed: Payload) -> u64 {
+    fold_run::<R_RUN>(key, run, fixed)
+}
+
+/// Which compilation of [`fold_run`] the run checksums execute. Baseline
+/// x86-64 (SSE2) has no 64-bit vector multiply, so the plain body's
+/// vectorised `mix64` is slower there than AVX2's and far slower than
+/// AVX-512DQ's native `vpmullq`.
+///
+/// A wide variant is only made where the CPU reported its features at
+/// runtime (`detect`, and the tests' `supported_kernels`); `fold`'s unsafe
+/// calls rely on that, so the type stays private to this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunKernel {
+    Plain,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl RunKernel {
+    /// The widest kernel this machine supports, detected once per process.
+    fn detect() -> Self {
+        use std::sync::OnceLock;
+        static KERNEL: OnceLock<RunKernel> = OnceLock::new();
+        *KERNEL.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+                {
+                    return RunKernel::Avx512;
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    return RunKernel::Avx2;
+                }
+            }
+            RunKernel::Plain
+        })
+    }
+
+    #[inline]
+    fn fold<const R_RUN: bool>(self, key: Key, run: &[Tuple], fixed: Payload) -> u64 {
+        match self {
+            RunKernel::Plain => fold_run::<R_RUN>(key, run, fixed),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: this variant exists only after the CPU reported
+            // AVX-512F and AVX-512DQ at runtime (see the type's doc).
+            RunKernel::Avx512 => unsafe { fold_run_avx512::<R_RUN>(key, run, fixed) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: this variant exists only after the CPU reported AVX2
+            // at runtime (see the type's doc).
+            RunKernel::Avx2 => unsafe { fold_run_avx2::<R_RUN>(key, run, fixed) },
+        }
+    }
+}
+
 /// A consumer of join results.
 ///
 /// Join kernels are generic over the sink so the per-tuple `emit` call
@@ -48,14 +172,30 @@ pub trait OutputSink: Send {
     /// Consumes one join result.
     fn emit(&mut self, key: Key, r_payload: Payload, s_payload: Payload);
 
-    /// Emits the cross product of one S tuple against a run of R tuples that
-    /// all share `key` — the skew fast path of CSH/GSH. The default loops
-    /// over [`OutputSink::emit`]; sinks may override with a cheaper bulk
-    /// path.
+    /// Emits the cross product of a run of R tuples that all share `key`
+    /// with one S tuple: CSH's hot S tuples against R's hot run, spill's
+    /// hot blocks, and the cluster shards' hot keys. The default loops over
+    /// [`OutputSink::emit`]; a sink may override it with a bulk path that
+    /// must consume the same results (the run tuples' own keys are not
+    /// read). [`CountingSink`] and [`KeyCountSink`] add
+    /// [`r_run_checksum`].
     #[inline]
     fn emit_r_run(&mut self, key: Key, r_tuples: &[Tuple], s_payload: Payload) {
         for r in r_tuples {
             self.emit(key, r.payload, s_payload);
+        }
+    }
+
+    /// Emits the cross product of one R tuple with a run of S tuples that
+    /// all share `key`: GSH's skew block, which streams the skewed S array
+    /// against its one R tuple. The default loops over
+    /// [`OutputSink::emit`]; overrides follow [`OutputSink::emit_r_run`]'s
+    /// rule, and [`CountingSink`] and [`KeyCountSink`] add
+    /// [`s_run_checksum`].
+    #[inline]
+    fn emit_s_run(&mut self, key: Key, r_payload: Payload, s_tuples: &[Tuple]) {
+        for s in s_tuples {
+            self.emit(key, r_payload, s.payload);
         }
     }
 
@@ -87,6 +227,22 @@ impl OutputSink for CountingSink {
         self.checksum = self
             .checksum
             .wrapping_add(tuple_mix(key, r_payload, s_payload));
+    }
+
+    #[inline]
+    fn emit_r_run(&mut self, key: Key, r_tuples: &[Tuple], s_payload: Payload) {
+        self.count += r_tuples.len() as u64;
+        self.checksum = self
+            .checksum
+            .wrapping_add(r_run_checksum(key, r_tuples, s_payload));
+    }
+
+    #[inline]
+    fn emit_s_run(&mut self, key: Key, r_payload: Payload, s_tuples: &[Tuple]) {
+        self.count += s_tuples.len() as u64;
+        self.checksum = self
+            .checksum
+            .wrapping_add(s_run_checksum(key, r_payload, s_tuples));
     }
 
     fn count(&self) -> u64 {
@@ -357,11 +513,18 @@ impl OutputSink for KeyCountSink {
     fn emit_r_run(&mut self, key: Key, r_tuples: &[Tuple], s_payload: Payload) {
         self.count_run(key, r_tuples.len() as u64);
         self.total += r_tuples.len() as u64;
-        for r in r_tuples {
-            self.checksum = self
-                .checksum
-                .wrapping_add(tuple_mix(key, r.payload, s_payload));
-        }
+        self.checksum = self
+            .checksum
+            .wrapping_add(r_run_checksum(key, r_tuples, s_payload));
+    }
+
+    #[inline]
+    fn emit_s_run(&mut self, key: Key, r_payload: Payload, s_tuples: &[Tuple]) {
+        self.count_run(key, s_tuples.len() as u64);
+        self.total += s_tuples.len() as u64;
+        self.checksum = self
+            .checksum
+            .wrapping_add(s_run_checksum(key, r_payload, s_tuples));
     }
 
     fn count(&self) -> u64 {
@@ -703,15 +866,126 @@ mod tests {
 
     #[test]
     fn emit_r_run_matches_loop() {
-        let rs: Vec<Tuple> = (0..5).map(|i| Tuple::new(42, i)).collect();
-        let mut bulk = CountingSink::new();
-        bulk.emit_r_run(42, &rs, 7);
-        let mut single = CountingSink::new();
-        for r in &rs {
-            single.emit(42, r.payload, 7);
+        // A run under the vector width and one over it, both shapes.
+        for len in [5u32, 40] {
+            let run: Vec<Tuple> = (0..len).map(|i| Tuple::new(42, i * 3)).collect();
+            let mut bulk = CountingSink::new();
+            bulk.emit_r_run(42, &run, 7);
+            bulk.emit_s_run(42, 7, &run);
+            let mut single = CountingSink::new();
+            for t in &run {
+                single.emit(42, t.payload, 7);
+                single.emit(42, 7, t.payload);
+            }
+            assert_eq!(bulk.count(), single.count());
+            assert_eq!(bulk.checksum(), single.checksum());
         }
-        assert_eq!(bulk.count(), single.count());
-        assert_eq!(bulk.checksum(), single.checksum());
+    }
+
+    /// Every kernel this host can run; the plain body always.
+    fn supported_kernels() -> Vec<RunKernel> {
+        #[allow(unused_mut)]
+        let mut kernels = vec![RunKernel::Plain];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                kernels.push(RunKernel::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+            {
+                kernels.push(RunKernel::Avx512);
+            }
+        }
+        assert!(kernels.contains(&RunKernel::detect()));
+        kernels
+    }
+
+    #[test]
+    fn run_kernels_match_a_plain_tuple_mix_fold() {
+        let mut state = 0x0BAD_5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            crate::hash::mix64(state) as u32
+        };
+        let kernels = supported_kernels();
+        // Every length to 70 covers 0, the 4- and 8-lane widths ±1 and
+        // several vectors plus a tail.
+        for len in 0..=70usize {
+            for key in [0, u32::MAX, next()] {
+                for extreme in [0, u32::MAX, 1 << 31] {
+                    // Seeded payloads with the extreme at both ends.
+                    let run: Vec<Tuple> = (0..len)
+                        .map(|i| match i {
+                            0 => extreme,
+                            _ if i + 1 == len => !extreme,
+                            _ => next(),
+                        })
+                        .map(|payload| Tuple::new(key, payload))
+                        .collect();
+                    for fixed in [extreme, next()] {
+                        let r_run = run.iter().fold(0u64, |acc, r| {
+                            acc.wrapping_add(tuple_mix(key, r.payload, fixed))
+                        });
+                        let s_run = run.iter().fold(0u64, |acc, s| {
+                            acc.wrapping_add(tuple_mix(key, fixed, s.payload))
+                        });
+                        for &kernel in &kernels {
+                            let case = format!("{kernel:?} len {len} key {key} fixed {fixed}");
+                            assert_eq!(kernel.fold::<true>(key, &run, fixed), r_run, "{case}");
+                            assert_eq!(kernel.fold::<false>(key, &run, fixed), s_run, "{case}");
+                        }
+                        assert_eq!(r_run_checksum(key, &run, fixed), r_run, "len {len}");
+                        assert_eq!(s_run_checksum(key, fixed, &run), s_run, "len {len}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A sink that keeps only the trait's default run loops.
+    struct DefaultRuns(KeyCountSink);
+
+    impl OutputSink for DefaultRuns {
+        fn emit(&mut self, key: Key, r_payload: Payload, s_payload: Payload) {
+            self.0.emit(key, r_payload, s_payload);
+        }
+
+        fn count(&self) -> u64 {
+            self.0.count()
+        }
+
+        fn checksum(&self) -> u64 {
+            self.0.checksum()
+        }
+    }
+
+    #[test]
+    fn key_count_s_runs_add_their_length_and_match_the_default_loop() {
+        let mut bulk = KeyCountSink::new();
+        let mut looped = DefaultRuns(KeyCountSink::new());
+        let runs: &[(Key, u32, usize)] = &[
+            (3, 1, 20),
+            (3, 2, 0),
+            (u32::MAX, 9, 5),
+            (3, 4, 9),
+            (0, 7, 64),
+        ];
+        for &(key, r_payload, len) in runs {
+            let s_run: Vec<Tuple> = (0..len as u32).map(|p| Tuple::new(key, p * 7)).collect();
+            bulk.emit_s_run(key, r_payload, &s_run);
+            looped.emit_s_run(key, r_payload, &s_run);
+            bulk.emit_r_run(key, &s_run, r_payload);
+            looped.emit_r_run(key, &s_run, r_payload);
+        }
+        let expected: BTreeMap<Key, u64> = [(0, 128), (3, 58), (u32::MAX, 10)].into();
+        assert_eq!(bulk.counts(), expected);
+        assert_eq!(looped.0.counts(), expected);
+        assert_eq!(bulk.count(), 196);
+        assert_eq!(
+            (bulk.count(), bulk.checksum()),
+            (looped.count(), looped.checksum())
+        );
     }
 
     #[test]

@@ -819,7 +819,7 @@ impl<S: OutputSink> HotProbe<'_, S> {
     /// Emits hot S tuple `t`'s results against the run of hot key `k`.
     #[inline(never)]
     fn emit(&mut self, k: usize, t: &Tuple) {
-        if self.probes % HOT_POLL_INTERVAL == 0 {
+        if self.probes.is_multiple_of(HOT_POLL_INTERVAL) {
             self.stopped = self.stopped || self.cancel.is_cancelled();
         }
         self.probes += 1;

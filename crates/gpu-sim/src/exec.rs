@@ -97,7 +97,7 @@ pub fn validate_launch_config(
             spec.max_threads_per_block
         )));
     }
-    if block_dim % spec.warp_size != 0 {
+    if !block_dim.is_multiple_of(spec.warp_size) {
         return Err(JoinError::InvalidConfig(format!(
             "kernel {name}: block_dim {block_dim} must be a multiple of the warp size ({})",
             spec.warp_size
@@ -202,7 +202,7 @@ impl<'a> BlockCtx<'a> {
 
     /// Accounts a fully coalesced contiguous *read* of `len` elements
     /// without materializing them (for streaming passes whose values the
-    /// kernel reads via [`BlockCtx::read_run`] or host logic).
+    /// kernel views via [`BlockCtx::read_run`] or host logic).
     pub fn account_contiguous_read(&mut self, buf: BufferId, len: usize) {
         if len == 0 {
             return;
@@ -215,10 +215,10 @@ impl<'a> BlockCtx<'a> {
             issues * self.spec.costs.mem_issue + tx * self.spec.cycles_per_transaction();
     }
 
-    /// Un-costed value access for a run already paid for via
+    /// Un-costed view of a run already paid for via
     /// [`BlockCtx::account_contiguous_read`].
-    pub fn read_run(&self, buf: BufferId, idx: usize) -> u64 {
-        self.mem.read(buf, idx)
+    pub fn read_run(&self, buf: BufferId, range: std::ops::Range<usize>) -> &[u64] {
+        &self.mem.host_slice(buf)[range]
     }
 
     /// Accounts a coalesced stream of `bytes` to/from global memory that has

@@ -101,7 +101,7 @@ fn device_time_monotone_in_blocks() {
         assert_eq!(stats.max_block_cycles, cost, "case {case}");
         assert!(stats.device_cycles >= stats.max_block_cycles, "case {case}");
         // Perfect balance when blocks divide evenly.
-        if blocks as u64 % sms == 0 {
+        if (blocks as u64).is_multiple_of(sms) {
             assert_eq!(stats.device_cycles, total_work / sms, "case {case}");
         }
     }

@@ -14,6 +14,7 @@
 //! panic-to-typed-error boundary all behave exactly as on the simulator so
 //! chaos and fuzz coverage carries over unchanged.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use skewjoin_common::{faults, JoinError};
@@ -129,8 +130,8 @@ impl BlockOps for HostBlockCtx<'_> {
         }
     }
 
-    fn read_run(&self, buf: BufferId, idx: usize) -> u64 {
-        self.mem.host_read(buf, idx)
+    fn read_run(&self, buf: BufferId, range: Range<usize>) -> &[u64] {
+        &self.mem.host_slice(buf)[range]
     }
 
     fn account_contiguous_read(&mut self, _buf: BufferId, _len: usize) {}

@@ -24,6 +24,8 @@
 //! [`GpuJoinConfig::backend`](crate::GpuJoinConfig) into the join and into
 //! the device-fallback rung, which records which backend ran.
 
+use std::ops::Range;
+
 use skewjoin_common::JoinError;
 use skewjoin_gpu_sim::{BufferId, DeviceSpec, LaunchStats};
 
@@ -107,9 +109,9 @@ pub trait BlockOps {
     fn warp_gather(&mut self, buf: BufferId, indices: &[usize], out: &mut Vec<u64>);
     /// Warp-wide scatter of `(index, value)` pairs into a global buffer.
     fn warp_scatter(&mut self, buf: BufferId, writes: &[(usize, u64)]);
-    /// Un-costed element read for a run already accounted via
-    /// [`BlockOps::account_contiguous_read`].
-    fn read_run(&self, buf: BufferId, idx: usize) -> u64;
+    /// Un-costed view of the elements `range` of a global buffer, for a
+    /// run already accounted via [`BlockOps::account_contiguous_read`].
+    fn read_run(&self, buf: BufferId, range: Range<usize>) -> &[u64];
     /// Accounts a fully coalesced contiguous read of `len` elements.
     fn account_contiguous_read(&mut self, buf: BufferId, len: usize);
     /// Accounts a coalesced byte stream with no backing buffer (e.g. the

@@ -6,6 +6,8 @@
 //! cost-model regression tests and the committed perf trajectory depend on
 //! that.
 
+use std::ops::Range;
+
 use skewjoin_common::JoinError;
 use skewjoin_gpu_sim::{BlockCtx, BufferId, Device, DeviceSpec, Kernel, LaunchStats, SharedId};
 
@@ -92,8 +94,8 @@ impl BlockOps for BlockCtx<'_> {
         BlockCtx::warp_scatter(self, buf, writes);
     }
 
-    fn read_run(&self, buf: BufferId, idx: usize) -> u64 {
-        BlockCtx::read_run(self, buf, idx)
+    fn read_run(&self, buf: BufferId, range: Range<usize>) -> &[u64] {
+        BlockCtx::read_run(self, buf, range)
     }
 
     fn account_contiguous_read(&mut self, buf: BufferId, len: usize) {

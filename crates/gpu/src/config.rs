@@ -94,7 +94,7 @@ impl GpuJoinConfig {
     pub fn validate(&self) -> Result<(), JoinError> {
         let spec = &self.spec;
         if self.block_dim == 0
-            || self.block_dim % spec.warp_size != 0
+            || !self.block_dim.is_multiple_of(spec.warp_size)
             || self.block_dim > spec.max_threads_per_block
         {
             return Err(JoinError::InvalidConfig(format!(

@@ -129,8 +129,8 @@ impl<S: OutputSink> DeviceKernel for NmJoinKernel<'_, S> {
             let mut sum_steps = 0u64;
             // Per-warp longest chain (steps during which that warp is live).
             let mut warp_max = vec![0u64; (batch_len).div_ceil(warp)];
-            for (li, sidx) in (s..batch_end).enumerate() {
-                let sw = ctx.read_run(task.s_buf, sidx);
+            let sink = &mut self.sinks[ctx.sm_slot()];
+            for (li, &sw) in ctx.read_run(task.s_buf, s..batch_end).iter().enumerate() {
                 let skey = key_of(sw);
                 let mut cursor = heads[table_hash(skey, bits)];
                 let mut steps = 0u64;
@@ -139,7 +139,7 @@ impl<S: OutputSink> DeviceKernel for NmJoinKernel<'_, S> {
                     let rw = r_words[cursor as usize];
                     if key_of(rw) == skey {
                         matched_total += 1;
-                        self.sinks[ctx.sm_slot()].emit(skey, payload_of(rw), payload_of(sw));
+                        sink.emit(skey, payload_of(rw), payload_of(sw));
                     }
                     cursor = next[cursor as usize];
                 }

@@ -4,6 +4,8 @@
 //! gets from an 8-byte vectorized load of a `{u32 key; u32 payload;}`
 //! struct.
 
+use std::borrow::Cow;
+
 use skewjoin_common::{JoinError, Key, Payload, Relation, Tuple};
 use skewjoin_gpu_sim::BufferId;
 
@@ -19,6 +21,26 @@ pub fn pack(t: Tuple) -> u64 {
 #[inline(always)]
 pub fn unpack(word: u64) -> Tuple {
     Tuple::new(word as Key, (word >> 32) as Payload)
+}
+
+/// Views a run of device words as tuples, without a copy where the layouts
+/// agree. On a little-endian host the word `key | payload << 32` keeps the
+/// key in its low four bytes, which is [`Tuple`]'s `#[repr(C)]` layout.
+pub fn as_tuples(words: &[u64]) -> Cow<'_, [Tuple]> {
+    const _: () = assert!(
+        std::mem::size_of::<Tuple>() == 8
+            && std::mem::align_of::<Tuple>() <= std::mem::align_of::<u64>()
+    );
+    if cfg!(target_endian = "little") {
+        // SAFETY: `Tuple` is two `u32`s under `#[repr(C)]`, 8 bytes with
+        // an alignment no stricter than `u64`'s (asserted above), and any
+        // bits are a valid `Tuple`; on a little-endian host each word's low
+        // half, the key, sits at offset 0 and its high half, the payload,
+        // at offset 4, as in `Tuple`. The view borrows `words`.
+        Cow::Borrowed(unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len()) })
+    } else {
+        Cow::Owned(words.iter().map(|&w| unpack(w)).collect())
+    }
 }
 
 /// Key half of a packed tuple.
@@ -59,16 +81,20 @@ mod tests {
 
     #[test]
     fn pack_roundtrip() {
-        for t in [
+        let tuples = [
             Tuple::new(0, 0),
             Tuple::new(u32::MAX, 0),
             Tuple::new(0, u32::MAX),
             Tuple::new(0xDEAD_BEEF, 0x1234_5678),
-        ] {
+        ];
+        for t in tuples {
             assert_eq!(unpack(pack(t)), t);
             assert_eq!(key_of(pack(t)), t.key);
             assert_eq!(payload_of(pack(t)), t.payload);
         }
+        let words: Vec<u64> = tuples.iter().map(|&t| pack(t)).collect();
+        assert_eq!(*as_tuples(&words), tuples);
+        assert!(as_tuples(&[]).is_empty());
     }
 
     #[test]

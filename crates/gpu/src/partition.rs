@@ -394,7 +394,7 @@ impl DeviceKernel for ScatterKernel<'_> {
                         cursors[p] += 1;
                         // Crossing a bucket boundary = allocate a new bucket:
                         // one more global atomic + a pointer write.
-                        if pos % bucket_capacity == 0 {
+                        if pos.is_multiple_of(bucket_capacity) {
                             ctx.charge_global_atomics(1, 1);
                             ctx.account_stream_bytes(8);
                         }

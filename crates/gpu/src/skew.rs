@@ -13,7 +13,7 @@ use skewjoin_gpu_sim::BufferId;
 
 use crate::backend::{BlockOps, DeviceKernel, GpuBackend};
 use crate::config::GpuSkewConfig;
-use crate::pack::{key_of, payload_of};
+use crate::pack::{as_tuples, key_of, payload_of};
 use crate::partition::DevicePartitioned;
 
 /// Skewed keys detected in one large partition.
@@ -390,10 +390,11 @@ impl<S: OutputSink> DeviceKernel for SkewJoinKernel<'_, S> {
             let end = (s + block_dim).min(task.s_range.end);
             let len = end - s;
             ctx.account_contiguous_read(task.s_buf, len);
-            for idx in s..end {
-                let sw = ctx.read_run(task.s_buf, idx);
-                sink.emit(task.key, r_payload, payload_of(sw));
-            }
+            sink.emit_s_run(
+                task.key,
+                r_payload,
+                &as_tuples(ctx.read_run(task.s_buf, s..end)),
+            );
             ctx.alu((len as u64).div_ceil(ctx.warp_size() as u64));
             // Fully coalesced output write.
             ctx.account_stream_bytes(len as u64 * 12);

@@ -191,7 +191,7 @@ fn request_for(i: usize, seed: u64, tuples: usize) -> JoinRequest {
         4 => Priority::Low,
         _ => Priority::Normal,
     };
-    if i % 4 == 0 {
+    if i.is_multiple_of(4) {
         req.deadline = Some(Duration::from_secs(60));
     }
     req

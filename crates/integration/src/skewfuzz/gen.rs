@@ -492,8 +492,8 @@ pub fn gen_frame_case(rng: &mut Rng, seed: u64, index: usize) -> FrameCase {
             // Deeply nested body: the parser must reject it iteratively.
             let depth = 600 + rng.below(2000);
             let mut body = Vec::with_capacity(depth * 2);
-            body.extend(std::iter::repeat(b'[').take(depth));
-            body.extend(std::iter::repeat(b']').take(depth));
+            body.extend(std::iter::repeat_n(b'[', depth));
+            body.extend(std::iter::repeat_n(b']', depth));
             let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
             bytes.extend_from_slice(&body);
             ("deep", bytes)

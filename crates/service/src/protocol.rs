@@ -369,7 +369,7 @@ fn ping_reply(frame: &Json, shard: Option<u32>) -> Json {
         .get("protocol_version")
         .and_then(Json::as_u64)
         .map(|v| v as u32);
-    let compatible = !announced.is_some_and(|v| v != PROTOCOL_VERSION);
+    let compatible = announced.is_none_or(|v| v == PROTOCOL_VERSION);
     let mut fields = vec![
         ("ok", Json::Bool(compatible)),
         (

@@ -177,6 +177,69 @@ fn cancel_during_hot_s_emission_is_cancelled_in_partition_s() {
     }
 }
 
+/// A sink that only misbehaves on GSH's skew blocks: `emit_s_run` panics,
+/// while plain `emit` (the NM join's output) counts.
+struct SkewBlockSink(CountingSink);
+
+impl OutputSink for SkewBlockSink {
+    fn emit(&mut self, key: Key, r: Payload, s: Payload) {
+        self.0.emit(key, r, s);
+    }
+
+    fn emit_s_run(&mut self, _key: Key, _r_payload: Payload, _s_tuples: &[Tuple]) {
+        panic!("sink exploded mid skew-block emission");
+    }
+
+    fn count(&self) -> u64 {
+        self.0.count()
+    }
+
+    fn checksum(&self) -> u64 {
+        self.0.checksum()
+    }
+}
+
+#[test]
+fn sink_panic_during_gsh_skew_block_is_worker_panicked_in_gsh_skew_join() {
+    use skewjoin::gpu::{gsh_join, GpuBackendKind, GpuJoinConfig};
+    use skewjoin_integration::{gpu_config, CaseSpec};
+    let _guard = lock();
+    for backend in [GpuBackendKind::Sim, GpuBackendKind::Host] {
+        let err = with_deadline(60, move || {
+            let w = workload(1.0, 5);
+            let spec = CaseSpec {
+                seed: 5,
+                size: 4096,
+                zipf: 1.0,
+                threads: 1,
+            };
+            let cfg = GpuJoinConfig {
+                backend,
+                ..gpu_config(spec)
+            };
+            // The workload reaches the skew blocks: a well-behaved sink
+            // sees skew-path results there.
+            let clean = gsh_join(&w.r, &w.s, &cfg, |_slot: usize| CountingSink::new())
+                .expect("clean GSH join");
+            assert!(
+                clean.stats.skew_path_results > 0,
+                "{backend}: no skew block ran"
+            );
+            gsh_join(&w.r, &w.s, &cfg, |_slot: usize| {
+                SkewBlockSink(CountingSink::new())
+            })
+            .err()
+            .expect("a panicking skew-block sink must fail the join")
+        });
+        match err {
+            JoinError::WorkerPanicked { phase, .. } => {
+                assert_eq!(phase, "gsh_skew_join", "{backend}");
+            }
+            other => panic!("{backend}: expected WorkerPanicked, got {other:?}"),
+        }
+    }
+}
+
 /// A chaos cell armed at a site whose hits the workload fixes repeats its
 /// outcome at the same seed (with the `fault-injection` feature the scatter
 /// failpoint fires; without it the cell is a clean run). One join thread,
