@@ -546,15 +546,18 @@ impl Trace {
             .map(|s| s.frequency)
     }
 
-    /// Folds another trace into this one: counters add phase-wise (maxima
-    /// should be folded by the caller before merging if add is wrong for
-    /// them — workers therefore merge via [`Trace::merge`] only for
-    /// additive counters and use [`Trace::max`] for chain lengths), and
-    /// skewed keys append, skipping keys already present.
+    /// Folds another trace into this one: counters add phase-wise, except
+    /// the maxima ([`counter::MAX_CHAIN_LEN`], [`counter::MAX_BLOCK_CYCLES`]),
+    /// which keep the larger value; skewed keys append, skipping keys
+    /// already present.
     pub fn merge(&mut self, other: &Trace) {
         for phase in &other.phases {
-            for (counter, value) in &phase.counters {
-                self.add(&phase.name, counter, *value);
+            for (name, value) in &phase.counters {
+                if [counter::MAX_CHAIN_LEN, counter::MAX_BLOCK_CYCLES].contains(&name.as_str()) {
+                    self.max(&phase.name, name, *value);
+                } else {
+                    self.add(&phase.name, name, *value);
+                }
             }
         }
         for sk in &other.skewed_keys {
@@ -809,11 +812,14 @@ mod tests {
         let mut b = Trace::new();
         b.add("probe", counter::PROBE_TUPLES, 32);
         b.add("build", counter::BUILD_TUPLES, 4);
+        a.max("build", counter::MAX_CHAIN_LEN, 6);
+        b.max("build", counter::MAX_CHAIN_LEN, 5);
         b.record_skewed_key(7, 5);
         b.record_skewed_key(9, 3);
         a.merge(&b);
         assert_eq!(a.get("probe", counter::PROBE_TUPLES), Some(42));
         assert_eq!(a.get("build", counter::BUILD_TUPLES), Some(4));
+        assert_eq!(a.get("build", counter::MAX_CHAIN_LEN), Some(6));
         assert_eq!(a.skewed_keys.len(), 2);
         assert_eq!(a.skew_frequency(9), Some(3));
     }

@@ -10,45 +10,11 @@
 
 use skewjoin_common::hash::shard_of;
 use skewjoin_common::{JoinError, JoinStats, Key, Relation, Rung, SinkSpec, TwinCause};
-use skewjoin_cpu::{cbase_join, csh_join, grace_join, npj_join, CpuJoinConfig};
+use skewjoin_cpu::CpuJoinConfig;
 use skewjoin_gpu::{gbase_join, gsh_join, GpuJoinConfig};
 
 pub use skewjoin_common::{CountSinkFactory, SinkFactory, VolcanoSinkFactory};
-
-/// The CPU join algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CpuAlgorithm {
-    /// Baseline parallel radix join (Balkesen et al.).
-    Cbase,
-    /// No-partition join from the same repository.
-    CbaseNpj,
-    /// The paper's CPU Skew-conscious Hash join.
-    Csh,
-}
-
-impl CpuAlgorithm {
-    /// All CPU algorithms, in the paper's presentation order.
-    pub const ALL: [CpuAlgorithm; 3] = [
-        CpuAlgorithm::Cbase,
-        CpuAlgorithm::CbaseNpj,
-        CpuAlgorithm::Csh,
-    ];
-
-    /// The paper's display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CpuAlgorithm::Cbase => "Cbase",
-            CpuAlgorithm::CbaseNpj => "cbase-npj",
-            CpuAlgorithm::Csh => "CSH",
-        }
-    }
-}
-
-impl std::fmt::Display for CpuAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+pub use skewjoin_cpu::CpuAlgorithm;
 
 /// The GPU join algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -232,16 +198,8 @@ pub fn run_join_collecting<F: SinkFactory>(
     let make = |worker: usize| factory.make_sink(worker);
     let gpu = match algorithm {
         Algorithm::Cpu(cpu) => {
-            // A configured spill routes every CPU algorithm through the
-            // out-of-core grace-hash driver: the in-memory algorithms assume
-            // the whole input is resident, which is exactly what a spill
-            // configuration says is not affordable.
-            let o = match cpu {
-                _ if cfg.cpu.spill.is_some() => grace_join(r, s, &cfg.cpu, make)?,
-                CpuAlgorithm::Cbase => cbase_join(r, s, &cfg.cpu, make)?,
-                CpuAlgorithm::CbaseNpj => npj_join(r, s, &cfg.cpu, make)?,
-                CpuAlgorithm::Csh => csh_join(r, s, &cfg.cpu, make)?,
-            };
+            // A configured spill runs the same algorithm out of core.
+            let o = cpu.run(r, s, &cfg.cpu, make)?;
             return Ok(CollectedJoin {
                 stats: o.stats,
                 sinks: o.sinks,
@@ -467,7 +425,13 @@ mod tests {
             let stats = run_join(algo, &w.r, &w.s, &spill_cfg, SinkSpec::Count).unwrap();
             assert_eq!(stats.result_count, expected.result_count, "{algo}");
             assert_eq!(stats.checksum, expected.checksum, "{algo}");
-            assert_eq!(stats.algorithm, "Grace(cbase-npj)", "{algo}");
+            // The spill runs the requested algorithm (a GPU request's CPU
+            // twin) on every reloaded pair.
+            let cpu = match algo {
+                Algorithm::Cpu(cpu) => cpu,
+                Algorithm::Gpu(gpu) => gpu.cpu_twin(),
+            };
+            assert_eq!(stats.algorithm, format!("Grace({cpu})"), "{algo}");
             assert_eq!(
                 matches!(stats.trace.degradations.first(), Some(Rung::CpuTwin { .. })),
                 !algo.is_cpu(),

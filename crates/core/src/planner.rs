@@ -196,12 +196,9 @@ impl CostEstimate {
 ///
 /// The model (8-byte tuples throughout):
 ///
-/// * **Cbase / CSH** — out-of-place radix partitioning holds one scratch
-///   copy of each relation alongside the input (2× each table at peak),
-///   plus per-partition bucket tables sized to the build side (~2 words
-///   per R tuple) and per-worker histograms of the first-pass fan-out.
-/// * **cbase-npj** — no partition scratch; one global chained table with a
-///   power-of-two bucket array plus an 16-byte chain node per R tuple.
+/// * **Cbase / cbase-npj / CSH** — [`CpuAlgorithm::footprint`]: the input
+///   and everything the join allocates, the same figure the spill sizes
+///   its partition pairs by.
 /// * **Gbase / GSH** — both relations resident on the device together with
 ///   their partitioned copies, the per-partition bucket tables over the
 ///   build side (~2 words per R tuple), and offset metadata per partition
@@ -217,24 +214,10 @@ pub fn estimate_join_memory(
     let r = r_tuples as u64;
     let s = s_tuples as u64;
     match algorithm {
-        Algorithm::Cpu(CpuAlgorithm::Cbase) | Algorithm::Cpu(CpuAlgorithm::Csh) => {
-            let scratch = 2 * (r + s) * tuple;
-            let tables = 2 * r * tuple;
-            let fanout = 1u64 << cfg.cpu.radix.bits_per_pass.first().copied().unwrap_or(0);
-            let histograms = fanout * (cfg.cpu.threads as u64) * 8;
-            CostEstimate {
-                host_bytes: scratch + tables + histograms,
-                device_bytes: 0,
-            }
-        }
-        Algorithm::Cpu(CpuAlgorithm::CbaseNpj) => {
-            let buckets = (r.max(1).next_power_of_two()) * 8;
-            let chain = r * 16;
-            CostEstimate {
-                host_bytes: buckets + chain,
-                device_bytes: 0,
-            }
-        }
+        Algorithm::Cpu(cpu) => CostEstimate {
+            host_bytes: cpu.footprint(r_tuples, s_tuples, &cfg.cpu),
+            device_bytes: 0,
+        },
         Algorithm::Gpu(_) => {
             let bits = gpu_radix_bits(cfg, r_tuples, s_tuples);
             let partitions = 1u64 << bits.min(24);
@@ -723,11 +706,12 @@ mod tests {
 
     #[test]
     fn fit_to_budget_walks_the_ladder_in_order() {
-        let n = 1 << 14;
+        // Narrowing the radix shrinks CSH's two start arrays. At 2^17 tuples
+        // a side GSH's estimate exceeds CSH's by its device build tables, so
+        // a budget of CSH's estimate sends a GSH request to its twin.
+        let n = 1 << 17;
         let mut cfg = JoinConfig::default();
-        // Enough threads that the per-thread histograms make narrowing the
-        // radix visibly cheaper.
-        cfg.cpu.threads = 64;
+        cfg.cpu.threads = 1;
         let (csh, gsh) = (
             Algorithm::Cpu(CpuAlgorithm::Csh),
             Algorithm::Gpu(GpuAlgorithm::Gsh),

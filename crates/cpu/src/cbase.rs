@@ -285,21 +285,19 @@ impl JoinPhase {
         let shift = task.shift;
         let part_of = |key: u32| ((mix32(key) >> shift) as usize) & (fanout - 1);
 
-        let (r_out, r_starts) = partition_slice_by(r, fanout, part_of);
-        let r_nonempty = (0..fanout)
-            .filter(|&p| r_starts[p + 1] > r_starts[p])
-            .count();
-        let (s_out, s_starts) = partition_slice_by(s, fanout, part_of);
-        let s_nonempty = (0..fanout)
-            .filter(|&p| s_starts[p + 1] > s_starts[p])
-            .count();
-
-        if r_nonempty <= 1 && s_nonempty <= 1 {
+        let one_part = |side: &[Tuple]| {
+            let first = part_of(side[0].key);
+            side.iter().all(|t| part_of(t.key) == first)
+        };
+        if one_part(r) && one_part(s) {
             // A single key (or hash-identical key group) dominates: splitting
             // cannot reduce the work. Cbase's fundamental skew limitation.
+            // Checked before partitioning, so the attempt copies nothing.
             return None;
         }
 
+        let (r_out, r_starts) = partition_slice_by(r, fanout, part_of);
+        let (s_out, s_starts) = partition_slice_by(s, fanout, part_of);
         let r_shared: Arc<[Tuple]> = r_out.into();
         let s_shared: Arc<[Tuple]> = s_out.into();
         for p in 0..fanout {

@@ -87,9 +87,10 @@ pub struct CpuJoinConfig {
     /// admitted request.
     pub cancel: CancelToken,
     /// Out-of-core grace-hash spill parameters. `None` (the default) keeps
-    /// every join in memory; `Some` routes the CPU algorithms through
-    /// [`crate::spill::grace_join`], which partitions both relations to
-    /// disk and reloads pairs under the configured working budget.
+    /// every join in memory; `Some` makes [`crate::CpuAlgorithm::run`]
+    /// partition both relations to disk and join the reloaded pairs with
+    /// the requested algorithm, within the configured working budget (see
+    /// [`crate::spill`]).
     pub spill: Option<crate::spill::SpillConfig>,
 }
 

@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod algorithm;
 pub mod cbase;
 pub mod config;
 pub mod csh;
@@ -38,6 +39,7 @@ pub mod spill;
 pub mod task;
 pub mod util;
 
+pub use algorithm::CpuAlgorithm;
 pub use cbase::cbase_join;
 pub use config::{CpuJoinConfig, SkewDetectConfig, DEFAULT_MORSEL_TUPLES};
 pub use csh::csh_join;
@@ -45,7 +47,7 @@ pub use npj::npj_join;
 pub use reference::reference_join;
 pub use route::{BuildRoute, ShardRouter};
 pub use simd::{SimdLevel, SimdPolicy};
-pub use spill::{grace_join, SpillConfig, SpillError, MIN_SPILL_BUDGET};
+pub use spill::{SpillConfig, SpillError, MIN_SPILL_BUDGET};
 pub use task::{SchedStats, SchedulerKind};
 
 use skewjoin_common::{JoinStats, OutputSink};

@@ -16,8 +16,9 @@
 //!    one Refine task per pass-0 partition.
 //! 3. **Refine** — one task per pass-0 partition runs the remaining radix
 //!    passes *locally* (stable per-pass counting sorts, so final partitions
-//!    come out in memory order), copies the result into the final buffer,
-//!    and publishes its children's start offsets.
+//!    come out in memory order), each pass scattering the partition's range
+//!    of one buffer into the same range of the other and the last one into
+//!    the final buffer, and publishes its children's start offsets.
 //! 4. **Join** — a per-partition gate (`AtomicU8`, one bit per side) arms
 //!    when *both* sides have refined that pass-0 partition; the second
 //!    arrival spawns the build+probe tasks. Join tasks are `JoinPhase`
@@ -126,6 +127,9 @@ enum Task {
     /// Build+probe one final partition (or a recursive split of one).
     Join(JoinTask),
 }
+
+/// Bytes one queued task occupies; the footprint model counts the queue.
+pub(crate) const TASK_BYTES: usize = std::mem::size_of::<Task>();
 
 impl Task {
     /// The stage whose phase a panic in this task is charged to.
@@ -607,22 +611,25 @@ impl<'a> Pipeline<'a> {
         st.morsels.fetch_add(1, Ordering::Relaxed);
         let p0 = st.starts();
         let (base, end) = (p0[parent], p0[parent + 1]);
-        // SAFETY: spawned (transitively) by the last Scatter finisher, so
-        // every scatter write happens-before via the countdown + queue
-        // handoff; `[base, end)` belongs to this parent alone.
-        let src = unsafe { st.scratch.slice(base..end) };
-        let mut data: Vec<Tuple> = src.to_vec();
+        // Each pass reads this parent's range of one buffer and scatters it
+        // into the same range of the other, starting from scratch into
+        // finals; no pass allocates a copy of the partition.
+        let (mut src, mut dst) = (st.scratch, st.finals);
         // Local partition directory, refined one pass at a time. Starting
         // from MSD pass 0, each subsequent stable counting sort nests the
         // children in memory order.
-        let mut dir: Vec<usize> = vec![0, data.len()];
+        let mut dir: Vec<usize> = vec![0, end - base];
         let mut pids = [0u32; HASH_BATCH];
         for pass in 1..self.passes {
             let fanout = self.cfg.radix.fanout(pass);
             let parents = dir.len() - 1;
             let (mixed, shift, mask) = pass_spec(&self.cfg.radix, pass);
-            let mut next = vec![Tuple::default(); data.len()];
             let mut child = vec![0usize; parents * fanout + 1];
+            // SAFETY: spawned (transitively) by the last Scatter finisher, so
+            // every scatter write happens-before via the countdown + queue
+            // handoff; `[base, end)` of both buffers belongs to this parent
+            // alone, and the previous pass finished writing `src`.
+            let data = unsafe { src.slice(base..end) };
             for p in 0..parents {
                 let lo = dir[p];
                 let slice = &data[lo..dir[p + 1]];
@@ -635,20 +642,26 @@ impl<'a> Pipeline<'a> {
                     simd::hash_indices(self.simd, batch, mixed, shift, mask, &mut pids);
                     for (t, &pid) in batch.iter().zip(&pids) {
                         let cursor = &mut cursors[pid as usize];
-                        next[lo + *cursor] = *t;
+                        // SAFETY: `base + lo + cursor` stays inside this
+                        // parent's range of the other buffer.
+                        unsafe { dst.write(base + lo + *cursor, *t) };
                         *cursor += 1;
                     }
                 }
             }
-            *child.last_mut().expect("non-empty directory") = data.len();
-            data = next;
+            *child.last_mut().expect("non-empty directory") = end - base;
             dir = child;
+            std::mem::swap(&mut src, &mut dst);
         }
         debug_assert_eq!(dir.len() - 1, self.fanout_rest);
         // SAFETY: disjoint destination ranges/slots per parent (see the
         // `child_starts` field docs); readers are gated on `arm_gate`.
         unsafe {
-            st.finals.copy_from(base, data.as_ptr(), data.len());
+            if self.passes % 2 == 1 {
+                // An even number of refine passes ended in scratch.
+                st.finals
+                    .copy_from(base, st.scratch.slice(base..end).as_ptr(), end - base);
+            }
             for (j, &d) in dir.iter().take(self.fanout_rest).enumerate() {
                 st.child_starts
                     .write(parent * self.fanout_rest + j, base + d);

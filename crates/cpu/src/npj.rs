@@ -29,6 +29,9 @@ enum NpjTask {
     Probe(Range<usize>),
 }
 
+/// Bytes one queued task occupies; the footprint model counts the queue.
+pub(crate) const TASK_BYTES: usize = std::mem::size_of::<NpjTask>();
+
 /// Runs the no-partition join. `make_sink(tid)` constructs each worker
 /// thread's output sink.
 ///

@@ -1,20 +1,34 @@
 //! Out-of-core **grace-hash join**: the bottom rung of the degradation
-//! ladder, completing joins whose footprint exceeds the memory budget by
-//! radix-partitioning both relations to disk and reloading partition pairs
-//! one at a time through the in-memory no-partition join.
+//! ladder, completing joins whose footprint exceeds the memory budget. It
+//! is a partition-and-reload driver over the one CPU join dispatch: it
+//! radix-partitions both relations to disk only to bound memory, then
+//! reloads partition pairs one at a time and joins each with the algorithm
+//! that was requested — Cbase, cbase-npj or CSH, through its own entry
+//! point ([`CpuAlgorithm::run`] sends a spilling join here). The stats
+//! report `Grace(<algorithm>)` and fold in every pair's trace, so a spilled
+//! CSH shows the keys it treated as hot and its skew-path results.
+//!
+//! ## Memory budget
+//!
+//! Everything the spill allocates stays within `mem_budget` (inputs and
+//! caller-owned sinks excluded). A pair or an NM block is as large as the
+//! requested algorithm's [`CpuAlgorithm::footprint`] allows within the
+//! budget less what the spill holds meanwhile.
 //!
 //! ## On-disk layout
 //!
 //! One [`ScratchDir`] per execution (removed on every exit path, panics
 //! included) holds, per recursion level, a pair of run files per partition
-//! (`r_<p>.run` / `s_<p>.run`) and a `MANIFEST.json`. A run file is a
+//! (`r_<p>.run` / `s_<p>.run`) and a `MANIFEST`. A run file is a
 //! sequence of length-prefixed tuple runs — `[u32 len][len × 8-byte
 //! little-endian tuples]` — appended as the bounded scatter buffers fill.
 //! The manifest records, per partition side, the tuple count, run count, an
 //! order-independent checksum, and the key range; the join phase reloads
 //! partitions *through the manifest* and verifies each side against it, so
 //! a torn write or bit flip surfaces as a typed [`SpillError`] rather than
-//! a wrong answer. The manifest itself is written crash-safely: to a `.tmp`
+//! a wrong answer. The manifest is plain text, a header line with the
+//! partition count and one line per partition (about 100 bytes each, where
+//! a JSON tree cost over a kilobyte), written crash-safely: to a `.tmp`
 //! name, fsynced, then renamed over the final name.
 //!
 //! ## Partitioning
@@ -32,8 +46,9 @@
 //! with the *next* `partition_bits` bits of the mixed key (level `d` consumes
 //! bits `[d·bits, (d+1)·bits)`), up to `max_recursion` levels. A partition
 //! holding a single distinct build key cannot be split by any hash — it
-//! routes to an NM-style decomposition instead (R loaded block-wise, S
-//! streamed against each block). A multi-key pair still over budget at the
+//! routes to an NM-style decomposition instead (R loaded a block at a time,
+//! S streamed against each block in chunks, every block and chunk joined by
+//! the requested algorithm). A multi-key pair still over budget at the
 //! recursion cap (or out of 32-bit hash window) takes the same NM
 //! decomposition as a recorded degradation — the join always completes
 //! under the budget; it never rejects for data shape.
@@ -49,19 +64,18 @@
 //! already correct and complete.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use skewjoin_common::hash::{mix32, mix64, radix_pass};
-use skewjoin_common::json::Json;
+use skewjoin_common::hash::{mix32, mix64, radix_pass, RadixConfig};
 use skewjoin_common::scratch::ScratchDir;
 use skewjoin_common::trace::{counter, Rung};
-use skewjoin_common::{faults, JoinError, JoinStats, Key, OutputSink, Relation, Tuple};
+use skewjoin_common::{faults, JoinError, JoinStats, Key, OutputSink, Relation, Trace, Tuple};
 
+use crate::algorithm::CpuAlgorithm;
 use crate::config::CpuJoinConfig;
-use crate::npj::npj_join;
 use crate::task::{run_to_completion, TaskQueue};
 use crate::{aggregate_sinks, JoinOutcome};
 
@@ -78,12 +92,30 @@ pub const FAILPOINT_MANIFEST: &str = "spill.manifest";
 /// transient unlink failure; the RAII guard's drop retries the removal.
 pub const FAILPOINT_REMOVE: &str = "spill.remove";
 
-/// Smallest in-memory budget a spill run accepts: below this even the
-/// bounded scatter buffers could not make useful progress.
-pub const MIN_SPILL_BUDGET: u64 = 1 << 16;
+/// Smallest in-memory budget a spill run accepts: the default 64-way
+/// fan-out's bookkeeping, `PARTITION_BYTES` per partition. A wider
+/// fan-out needs proportionally more (see [`SpillConfig::validate`]).
+pub const MIN_SPILL_BUDGET: u64 = 64 * PARTITION_BYTES;
+
+/// Bytes the spill keeps live while a pair is joined, besides its loaded
+/// manifests and runs: two run readers' buffers, the folded trace, the sink
+/// slots.
+const JOIN_PHASE_RESERVE: u64 = 6 << 10;
+
+/// Read buffer of a run reader. A run larger than this is read straight
+/// into its own buffer.
+const READ_BUFFER: usize = 1 << 10;
+
+/// Smallest budget per partition of the fan-out: its two run files, its
+/// manifest entry and its scatter buffers at their 16-tuple floor.
+const PARTITION_BYTES: u64 = 1 << 10;
+
+/// Bytes one partition's entry in a loaded manifest holds: its
+/// [`PartitionMeta`] and the two file names.
+const MANIFEST_ENTRY_BYTES: u64 = 160;
 
 /// Manifest file name within a level directory.
-const MANIFEST_NAME: &str = "MANIFEST.json";
+const MANIFEST_NAME: &str = "MANIFEST";
 
 /// Tuples per streamed input chunk during the level-0 scatter.
 const SCATTER_CHUNK_TUPLES: usize = 8 * 1024;
@@ -91,8 +123,8 @@ const SCATTER_CHUNK_TUPLES: usize = 8 * 1024;
 const TUPLE_BYTES: u64 = std::mem::size_of::<Tuple>() as u64;
 
 /// Out-of-core execution knobs, carried in [`CpuJoinConfig::spill`]. `None`
-/// there means the join never spills; `Some` routes the CPU algorithms
-/// through [`grace_join`].
+/// there means the join never spills; `Some` runs the requested CPU
+/// algorithm out of core (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpillConfig {
     /// Parent directory for scratch state. `None` resolves through
@@ -143,6 +175,14 @@ impl SpillConfig {
             return Err(JoinError::InvalidConfig(format!(
                 "spill partition_bits must be in 1..=10, got {}",
                 self.partition_bits
+            )));
+        }
+        let floor = (1 << self.partition_bits) * PARTITION_BYTES;
+        if self.mem_budget < floor {
+            return Err(JoinError::InvalidConfig(format!(
+                "spill mem_budget must be at least {floor} B for a {}-way fan-out, got {}",
+                1 << self.partition_bits,
+                self.mem_budget
             )));
         }
         if !(1..=8).contains(&self.max_recursion) {
@@ -257,29 +297,24 @@ impl SideMeta {
         self.tuples > 0 && self.min_key == self.max_key
     }
 
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("file", Json::str(&self.file)),
-            ("tuples", Json::from_u64(self.tuples)),
-            ("runs", Json::from_u64(self.runs)),
-            // Hex string: Json numbers are f64, exact only below 2^53.
-            ("checksum", Json::str(format!("{:#018x}", self.checksum))),
-            ("min_key", Json::from_u64(self.min_key as u64)),
-            ("max_key", Json::from_u64(self.max_key as u64)),
-        ])
+    /// Appends ` file tuples runs checksum min_key max_key`.
+    fn write(&self, line: &mut String) {
+        let (file, tuples, runs) = (&self.file, self.tuples, self.runs);
+        let (checksum, min, max) = (self.checksum, self.min_key, self.max_key);
+        line.push_str(&format!(
+            " {file} {tuples} {runs} {checksum:#x} {min} {max}"
+        ));
     }
 
-    fn from_json(json: &Json) -> Option<SideMeta> {
+    /// Parses the fields [`SideMeta::write`] appends.
+    fn parse<'a>(fields: &mut impl Iterator<Item = &'a str>) -> Option<SideMeta> {
         Some(SideMeta {
-            file: json.get("file")?.as_str()?.to_string(),
-            tuples: json.get("tuples")?.as_u64()?,
-            runs: json.get("runs")?.as_u64()?,
-            checksum: {
-                let hex = json.get("checksum")?.as_str()?;
-                u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?
-            },
-            min_key: json.get("min_key")?.as_u64()? as Key,
-            max_key: json.get("max_key")?.as_u64()? as Key,
+            file: fields.next()?.to_string(),
+            tuples: fields.next()?.parse().ok()?,
+            runs: fields.next()?.parse().ok()?,
+            checksum: u64::from_str_radix(fields.next()?.strip_prefix("0x")?, 16).ok()?,
+            min_key: fields.next()?.parse().ok()?,
+            max_key: fields.next()?.parse().ok()?,
         })
     }
 }
@@ -310,48 +345,9 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("bits", Json::from_u64(self.bits as u64)),
-            ("shift", Json::from_u64(self.shift as u64)),
-            ("seed", Json::from_u64(self.seed)),
-            (
-                "partitions",
-                Json::Arr(
-                    self.partitions
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("index", Json::from_u64(p.index as u64)),
-                                ("r", p.r.to_json()),
-                                ("s", p.s.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<Manifest> {
-        let mut partitions = Vec::new();
-        for p in json.get("partitions")?.as_array()? {
-            partitions.push(PartitionMeta {
-                index: p.get("index")?.as_u64()? as usize,
-                r: SideMeta::from_json(p.get("r")?)?,
-                s: SideMeta::from_json(p.get("s")?)?,
-            });
-        }
-        Some(Manifest {
-            bits: json.get("bits")?.as_u64()? as u32,
-            shift: json.get("shift")?.as_u64()? as u32,
-            seed: json.get("seed")?.as_u64()?,
-            partitions,
-        })
-    }
-
-    /// Crash-safe write: serialize to `MANIFEST.json.tmp`, fsync, rename
-    /// over `MANIFEST.json`.
+    /// Crash-safe write: a `bits shift seed partitions` line, then one line
+    /// per partition (its index and each side's `file tuples runs checksum
+    /// min_key max_key`), to `MANIFEST.tmp`, fsync, rename over `MANIFEST`.
     pub fn store(&self, dir: &Path) -> Result<(), SpillError> {
         let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
         let final_path = dir.join(MANIFEST_NAME);
@@ -362,8 +358,16 @@ impl Manifest {
                 FAILPOINT_MANIFEST,
             ));
         }
+        let (bits, shift, seed, n) = (self.bits, self.shift, self.seed, self.partitions.len());
+        let mut text = format!("{bits} {shift} {seed} {n}\n");
+        for p in &self.partitions {
+            text.push_str(&p.index.to_string());
+            p.r.write(&mut text);
+            p.s.write(&mut text);
+            text.push('\n');
+        }
         let mut file = File::create(&tmp).map_err(|e| SpillError::io("create", &tmp, e))?;
-        file.write_all(self.to_json().to_string().as_bytes())
+        file.write_all(text.as_bytes())
             .map_err(|e| SpillError::io("write", &tmp, e))?;
         file.sync_all()
             .map_err(|e| SpillError::io("fsync", &tmp, e))?;
@@ -372,7 +376,7 @@ impl Manifest {
         Ok(())
     }
 
-    /// Loads and parses a level manifest written by [`Manifest::store`].
+    /// Loads and verifies a level manifest written by [`Manifest::store`].
     pub fn load(dir: &Path) -> Result<Manifest, SpillError> {
         let path = dir.join(MANIFEST_NAME);
         if faults::fire(FAILPOINT_MANIFEST) {
@@ -383,25 +387,48 @@ impl Manifest {
             ));
         }
         let text = std::fs::read_to_string(&path).map_err(|e| SpillError::io("read", &path, e))?;
-        let json = Json::parse(&text).ok().ok_or_else(|| SpillError::Corrupt {
-            path: path.clone(),
-            detail: "manifest is not valid JSON".into(),
-        })?;
-        Manifest::from_json(&json).ok_or(SpillError::Corrupt {
-            path,
-            detail: "manifest is missing required fields".into(),
-        })
+        let mut lines = text.lines();
+        let mut header = lines.next().unwrap_or("").split_whitespace();
+        let mut field = || header.next()?.parse::<u64>().ok();
+        let (bits, shift, seed, count) = (field(), field(), field(), field());
+        let parse = |line: &str| {
+            let mut fields = line.split_whitespace();
+            let entry = PartitionMeta {
+                index: fields.next()?.parse().ok()?,
+                r: SideMeta::parse(&mut fields)?,
+                s: SideMeta::parse(&mut fields)?,
+            };
+            fields.next().is_none().then_some(entry)
+        };
+        let partitions = lines.map(parse).collect::<Option<Vec<_>>>();
+        match (bits, shift, seed, count, partitions) {
+            (Some(bits), Some(shift), Some(seed), Some(n), Some(partitions))
+                if n == partitions.len() as u64 =>
+            {
+                Ok(Manifest {
+                    bits: bits as u32,
+                    shift: shift as u32,
+                    seed,
+                    partitions,
+                })
+            }
+            _ => Err(SpillError::Corrupt {
+                path,
+                detail: "manifest is malformed or miscounts its partitions".into(),
+            }),
+        }
     }
 }
 
 /// Write handle over one partition side's run file: length-prefixed tuple
 /// runs, metadata accumulated for the manifest, explicit fsync on
-/// [`SpillFile::finish`].
+/// [`SpillFile::finish`]. Unbuffered: [`SpillFile::append_run`] builds each
+/// run in one buffer and writes it with one call.
 #[derive(Debug)]
 pub struct SpillFile {
     path: PathBuf,
     name: String,
-    writer: Option<BufWriter<File>>,
+    file: Option<File>,
     tuples: u64,
     runs: u64,
     checksum: u64,
@@ -421,7 +448,7 @@ impl SpillFile {
         Ok(SpillFile {
             path,
             name: name.to_string(),
-            writer: Some(BufWriter::new(file)),
+            file: Some(file),
             tuples: 0,
             runs: 0,
             checksum: 0,
@@ -439,7 +466,7 @@ impl SpillFile {
         if faults::fire(FAILPOINT_WRITE) {
             return Err(SpillError::injected("write", &self.path, FAILPOINT_WRITE));
         }
-        let writer = self.writer.as_mut().expect("append after finish");
+        let file = self.file.as_mut().expect("append after finish");
         let mut buf = Vec::with_capacity(4 + run.len() * TUPLE_BYTES as usize);
         buf.extend_from_slice(&(run.len() as u32).to_le_bytes());
         for t in run {
@@ -449,8 +476,7 @@ impl SpillFile {
             self.min_key = self.min_key.min(t.key);
             self.max_key = self.max_key.max(t.key);
         }
-        writer
-            .write_all(&buf)
+        file.write_all(&buf)
             .map_err(|e| SpillError::io("write", &self.path, e))?;
         self.tuples += run.len() as u64;
         self.runs += 1;
@@ -458,15 +484,10 @@ impl SpillFile {
         Ok(())
     }
 
-    /// Flushes and fsyncs the file, closing the write handle.
+    /// Fsyncs the file, closing the write handle.
     pub fn finish(&mut self) -> Result<(), SpillError> {
-        if let Some(mut writer) = self.writer.take() {
-            writer
-                .flush()
-                .map_err(|e| SpillError::io("flush", &self.path, e))?;
-            writer
-                .get_ref()
-                .sync_all()
+        if let Some(file) = self.file.take() {
+            file.sync_all()
                 .map_err(|e| SpillError::io("fsync", &self.path, e))?;
         }
         Ok(())
@@ -520,7 +541,7 @@ impl SpillReader {
         let file = File::open(&path).map_err(|e| SpillError::io("open", &path, e))?;
         Ok(SpillReader {
             path,
-            reader: BufReader::new(file),
+            reader: BufReader::with_capacity(READ_BUFFER, file),
             expected: meta.clone(),
             tuples_seen: 0,
             runs_seen: 0,
@@ -612,22 +633,33 @@ impl SpillReader {
 // Grace-hash driver
 // ---------------------------------------------------------------------------
 
-/// Conservative bytes needed to join a reloaded pair in memory with the
-/// no-partition join: both relations resident plus npj's bucket array and
-/// chain nodes over the build side.
-fn pair_cost(r_tuples: u64, s_tuples: u64) -> u64 {
-    let resident = (r_tuples + s_tuples) * TUPLE_BYTES;
-    let buckets = r_tuples.max(1).next_power_of_two() * 8;
-    let chain = r_tuples * 16;
-    resident + buckets + chain
-}
-
 /// Scatter-buffer capacity in tuples per partition side, bounded so
 /// `2 × buffers` of them (both sides' worth) stay within half the working
 /// budget. The spill partitioner passes `fanout × threads` buffers.
 fn scatter_buffer_tuples(mem_budget: u64, buffers: usize) -> usize {
     let per_buffer = mem_budget / 2 / (2 * buffers as u64) / TUPLE_BYTES;
     per_buffer.clamp(16, 64 * 1024) as usize
+}
+
+/// The configuration a reloaded pair (or an NM block) of `r_tuples ⋈
+/// s_tuples` is joined under: in memory, single-threaded when small
+/// (per-pair thread spawns would dominate at high fan-outs), and with the
+/// radix fan-out capped at one final partition per 8 build tuples, so the
+/// pipeline's start arrays scale with the pair rather than the request.
+fn pair_config(cfg: &CpuJoinConfig, r_tuples: u64, s_tuples: u64) -> CpuJoinConfig {
+    let mut inner = cfg.clone();
+    inner.spill = None;
+    if r_tuples + s_tuples < 16 * 1024 {
+        inner.threads = 1;
+    }
+    let cap = (r_tuples / 8).max(4).ilog2();
+    if inner.radix.total_bits() > cap {
+        inner.radix = RadixConfig {
+            mode: inner.radix.mode,
+            ..RadixConfig::two_pass(cap)
+        };
+    }
+    inner
 }
 
 #[derive(Default)]
@@ -645,13 +677,106 @@ where
     S: OutputSink,
     F: Fn(usize) -> S + Sync,
 {
+    algorithm: CpuAlgorithm,
     cfg: &'a CpuJoinConfig,
     spill: &'a SpillConfig,
     make_sink: &'a F,
+    /// One sink per worker slot, reused by every pair join: a slot's sink
+    /// accumulates the output of every pair its worker index joined.
     sinks: Vec<S>,
-    sink_base: usize,
     counters: Counters,
     degradations: Vec<Rung>,
+    /// Every pair join's trace (hot keys included), folded.
+    trace: Trace,
+    skew_path_results: u64,
+}
+
+impl<S, F> GraceCtx<'_, S, F>
+where
+    S: OutputSink,
+    F: Fn(usize) -> S + Sync,
+{
+    /// Bytes one in-memory join at recursion `depth` may hold: the budget
+    /// less what the spill itself keeps live meanwhile — one loaded
+    /// manifest per level, four runs (the rest of a run each NM stream
+    /// holds, and the bytes and tuples of the one being decoded), and
+    /// [`JOIN_PHASE_RESERVE`].
+    fn join_budget(&self, depth: u32) -> u64 {
+        let fanout = 1u64 << self.spill.partition_bits;
+        let manifests = (depth as u64 + 1) * fanout * MANIFEST_ENTRY_BYTES;
+        let buffers = fanout as usize * self.cfg.threads.max(1);
+        let runs = 4 * scatter_buffer_tuples(self.spill.mem_budget, buffers) as u64 * TUPLE_BYTES;
+        self.spill
+            .mem_budget
+            .saturating_sub(JOIN_PHASE_RESERVE + manifests + runs)
+    }
+
+    /// Scatters R and S into a new level at `dir` on mixed-key bits
+    /// `[shift, shift + partition_bits)` and stores its manifest.
+    fn spill_level(
+        &mut self,
+        [r, s]: [ScatterInput<'_>; 2],
+        dir: &Path,
+        shift: u32,
+    ) -> Result<(), JoinError> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| JoinError::SpillFailed(format!("create level dir: {e}")))?;
+        let (bits, budget) = (self.spill.partition_bits, self.spill.mem_budget);
+        let r_files = partition_to_files(r, dir, 'r', (shift, bits), budget, self.cfg)?;
+        let s_files = partition_to_files(s, dir, 's', (shift, bits), budget, self.cfg)?;
+        for f in r_files.iter().chain(&s_files) {
+            self.counters.bytes_written += f.bytes_written();
+            if f.tuples() > 0 {
+                self.counters.partitions_spilled += 1;
+            }
+        }
+        store_level_manifest(dir, shift, bits, self.spill.seed, &r_files, &s_files)?;
+        Ok(())
+    }
+
+    /// Whether the requested algorithm joins `r_tuples ⋈ s_tuples` within
+    /// the join budget at recursion `depth`.
+    fn fits(&self, r_tuples: u64, s_tuples: u64, depth: u32) -> bool {
+        let inner = pair_config(self.cfg, r_tuples, s_tuples);
+        let footprint = self
+            .algorithm
+            .footprint(r_tuples as usize, s_tuples as usize, &inner);
+        footprint <= self.join_budget(depth)
+    }
+
+    /// Joins one in-memory pair with the requested algorithm, handing its
+    /// workers the sinks earlier pairs left in their slots, and folds its
+    /// evidence into the spill's.
+    fn join_in_memory(&mut self, r: &Relation, s: &Relation) -> Result<(), JoinError> {
+        let inner = pair_config(self.cfg, r.len() as u64, s.len() as u64);
+        let make_sink = self.make_sink;
+        let workers = inner.threads.min(self.sinks.len());
+        let earlier: u64 = self.sinks[..workers].iter().map(|s| s.count()).sum();
+        let slots: Vec<Mutex<Option<S>>> =
+            self.sinks.drain(..).map(|s| Mutex::new(Some(s))).collect();
+        let reuse = |w: usize| slots.get(w).and_then(|slot| lock(slot).take());
+        // A trait object, so the spill's own instance of `run` is the one
+        // the pair joins call rather than a new one per nesting.
+        let make: &(dyn Fn(usize) -> S + Sync) = &|w| reuse(w).unwrap_or_else(|| make_sink(w));
+        let outcome = self.algorithm.run(r, s, &inner, make)?;
+        self.sinks = outcome.sinks;
+        // Slots past this pair's worker count keep their sinks.
+        let rest = slots.into_iter().skip(self.sinks.len());
+        self.sinks.extend(
+            rest.filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner)),
+        );
+        // The join's result counter is its sinks' total, which includes
+        // what earlier pairs left in them: keep this pair's share.
+        let mut trace = outcome.stats.trace;
+        for phase in &mut trace.phases {
+            if let Some(results) = phase.get(counter::RESULTS) {
+                phase.set(counter::RESULTS, results - earlier);
+            }
+        }
+        self.trace.merge(&trace);
+        self.skew_path_results += outcome.stats.skew_path_results;
+        Ok(())
+    }
 }
 
 /// What one spill scatter reads: the relation in memory at level 0, a
@@ -803,10 +928,12 @@ fn store_level_manifest(
     Ok(manifest)
 }
 
-/// Runs the out-of-core grace-hash join. Uses `cfg.spill` (or the default
-/// [`SpillConfig`] when absent); see the module docs for the disk format
-/// and recursion policy.
-pub fn grace_join<S, F>(
+/// Runs `algorithm` out of core with the grace-hash spill. Uses
+/// `cfg.spill` (or the default [`SpillConfig`] when absent); see the module
+/// docs for the disk format and recursion policy. Reached through
+/// [`CpuAlgorithm::run`].
+pub(crate) fn grace_join<S, F>(
+    algorithm: CpuAlgorithm,
     r: &Relation,
     s: &Relation,
     cfg: &CpuJoinConfig,
@@ -820,53 +947,31 @@ where
     let spill = cfg.spill.clone().unwrap_or_default();
     spill.validate()?;
 
-    let mut stats = JoinStats::new("Grace(cbase-npj)");
+    let mut stats = JoinStats::new(&format!("Grace({algorithm})"));
     let dir = ScratchDir::create(spill.scratch_dir.as_deref(), "skewjoin-spill", spill.seed)
         .map_err(|e| JoinError::SpillFailed(format!("create scratch dir: {e}")))?;
 
     let mut ctx = GraceCtx {
+        algorithm,
         cfg,
         spill: &spill,
         make_sink: &make_sink,
         sinks: Vec::new(),
-        sink_base: 0,
         counters: Counters::default(),
         degradations: Vec::new(),
+        trace: Trace::new(),
+        skew_path_results: 0,
     };
 
     // Level-0 scatter: both relations stream to disk through bounded
-    // buffers on the task pool; nothing near the full input is ever
-    // resident at once. The buffers are divided across workers so their
-    // aggregate stays within the same budget share at any thread count.
+    // buffers; nothing near the full input is ever resident at once.
     let scatter_started = Instant::now();
-    let bits = spill.partition_bits;
     let level_dir = dir.path().join("level0");
-    std::fs::create_dir_all(&level_dir)
-        .map_err(|e| JoinError::SpillFailed(format!("create level dir: {e}")))?;
-    let r_files = partition_to_files(
+    let inputs = [
         ScatterInput::Slice(r.tuples()),
-        &level_dir,
-        'r',
-        (0, bits),
-        spill.mem_budget,
-        cfg,
-    )?;
-    let s_files = partition_to_files(
         ScatterInput::Slice(s.tuples()),
-        &level_dir,
-        's',
-        (0, bits),
-        spill.mem_budget,
-        cfg,
-    )?;
-    for f in r_files.iter().chain(&s_files) {
-        ctx.counters.bytes_written += f.bytes_written();
-        if f.tuples() > 0 {
-            ctx.counters.partitions_spilled += 1;
-        }
-    }
-    store_level_manifest(&level_dir, 0, bits, spill.seed, &r_files, &s_files)?;
-    drop((r_files, s_files));
+    ];
+    ctx.spill_level(inputs, &level_dir, 0)?;
     stats
         .phases
         .record("spill_partition", scatter_started.elapsed());
@@ -892,6 +997,16 @@ where
     }
     drop(dir);
 
+    // The pairs' evidence: their phase counters, the keys they treated as
+    // hot (once each, although NM blocks of one pair may each detect the
+    // same key) and their skew-path results.
+    stats.trace = ctx.trace;
+    stats.skewed_keys_detected = stats.trace.skewed_keys.len();
+    stats.skew_path_results = ctx.skew_path_results;
+    if stats.trace.get("sample", counter::SKEWED_KEYS).is_some() {
+        let hot = stats.skewed_keys_detected as u64;
+        stats.trace.set("sample", counter::SKEWED_KEYS, hot);
+    }
     stats.partitions = ctx.counters.partitions_spilled as usize;
     let phase = stats.trace.phase("spill");
     phase.set(counter::SPILL_BYTES_WRITTEN, ctx.counters.bytes_written);
@@ -943,31 +1058,19 @@ where
     if entry.r.tuples == 0 || entry.s.tuples == 0 {
         return Ok(());
     }
-    let budget = ctx.spill.mem_budget;
-    if pair_cost(entry.r.tuples, entry.s.tuples) <= budget {
-        // The common case: the pair fits — reload and run the existing
-        // in-memory join.
+    if ctx.fits(entry.r.tuples, entry.s.tuples, depth) {
+        // The common case: the pair fits — reload it and run the requested
+        // join in memory.
         let (r, r_bytes) = SpillReader::read_all(dir, &entry.r)?;
         let (s, s_bytes) = SpillReader::read_all(dir, &entry.s)?;
         ctx.counters.bytes_read += r_bytes + s_bytes;
-        let mut inner = ctx.cfg.clone();
-        inner.spill = None;
-        // Small pairs are joined single-threaded: per-pair thread spawns
-        // would dominate at high fan-outs.
-        if r.len() + s.len() < 16 * 1024 {
-            inner.threads = 1;
-        }
-        let base = ctx.sink_base;
-        let make_sink = ctx.make_sink;
-        let outcome = npj_join(&r, &s, &inner, |w| (make_sink)(base + w))?;
-        ctx.sink_base += outcome.sinks.len();
-        ctx.sinks.extend(outcome.sinks);
+        ctx.join_in_memory(&r, &s)?;
         ctx.counters.pairs_in_memory += 1;
         return Ok(());
     }
     if entry.r.single_key() {
         // Unsplittable by any hash: NM-style decomposition.
-        return nm_decompose(ctx, dir, entry);
+        return nm_decompose(ctx, dir, entry, depth);
     }
     let next_shift = (depth + 1) * manifest.bits;
     if depth + 1 > ctx.spill.max_recursion || next_shift + manifest.bits > 32 {
@@ -982,46 +1085,20 @@ where
             depth,
             cap: ctx.spill.max_recursion,
         });
-        return nm_decompose(ctx, dir, entry);
+        return nm_decompose(ctx, dir, entry, depth);
     }
 
     // Recurse: re-partition this pair with the next radix-bit window.
     ctx.counters.max_depth = ctx.counters.max_depth.max((depth + 1) as u64);
     let sub_dir = dir.join(format!("p{}", entry.index));
-    std::fs::create_dir_all(&sub_dir)
-        .map_err(|e| JoinError::SpillFailed(format!("create level dir: {e}")))?;
-    let bits = manifest.bits;
-    let mut repartitioned = Vec::with_capacity(2);
-    for (meta, side) in [(&entry.r, 'r'), (&entry.s, 's')] {
-        let reader = Mutex::new(SpillReader::open(dir, meta)?);
-        let files = partition_to_files(
-            ScatterInput::Runs(reader),
-            &sub_dir,
-            side,
-            (next_shift, bits),
-            ctx.spill.mem_budget,
-            ctx.cfg,
-        )?;
+    let inputs = [
+        ScatterInput::Runs(Mutex::new(SpillReader::open(dir, &entry.r)?)),
+        ScatterInput::Runs(Mutex::new(SpillReader::open(dir, &entry.s)?)),
+    ];
+    ctx.spill_level(inputs, &sub_dir, next_shift)?;
+    for meta in [&entry.r, &entry.s] {
         ctx.counters.bytes_read += meta.tuples * TUPLE_BYTES + 4 * meta.runs;
-        repartitioned.push(files);
     }
-    let s_files = repartitioned.pop().expect("s side");
-    let r_files = repartitioned.pop().expect("r side");
-    for f in r_files.iter().chain(&s_files) {
-        ctx.counters.bytes_written += f.bytes_written();
-        if f.tuples() > 0 {
-            ctx.counters.partitions_spilled += 1;
-        }
-    }
-    store_level_manifest(
-        &sub_dir,
-        next_shift,
-        bits,
-        ctx.spill.seed,
-        &r_files,
-        &s_files,
-    )?;
-    drop((r_files, s_files));
     join_level(ctx, &sub_dir, depth + 1)?;
 
     // Reclaim the sub-level eagerly so peak disk stays bounded by two
@@ -1041,88 +1118,92 @@ where
     Ok(())
 }
 
-/// NM-style (block-nested-hash) decomposition for a pair no split can fit
-/// in the budget: R is loaded block-wise within the budget and S streamed
-/// once per block. For a single-key build side (the skew-pathological
-/// case), probes skip the hash table and matches go through the bulk
-/// `emit_r_run` path. Memory stays bounded no matter how large a key's
-/// multiplicity or how adversarially keys collide.
+/// NM-style (block-nested) decomposition for a pair no split can fit in the
+/// budget: R is loaded a block at a time and S streamed against each block
+/// in chunks, every (block, chunk) joined by the requested algorithm. Block
+/// and chunk are the largest the algorithm's footprint allows, so memory
+/// stays bounded no matter how large a key's multiplicity or how
+/// adversarially keys collide. A single-key block under CSH reaches its
+/// run path through CSH's own sampler; Cbase and NPJ walk their chains.
 fn nm_decompose<S, F>(
     ctx: &mut GraceCtx<'_, S, F>,
     dir: &Path,
     entry: &PartitionMeta,
+    depth: u32,
 ) -> Result<(), JoinError>
 where
     S: OutputSink,
     F: Fn(usize) -> S + Sync,
 {
     ctx.counters.pairs_nm += 1;
-    let single_key = entry.r.single_key();
-    let block_tuples = (ctx.spill.mem_budget / 4 / TUPLE_BYTES).clamp(256, 1 << 22) as usize;
-    let mut sink = (ctx.make_sink)(ctx.sink_base);
-    ctx.sink_base += 1;
+    // The largest block of R that fits joined with as much S, then the
+    // largest S chunk that fits with that block.
+    let (r_tuples, s_tuples) = (entry.r.tuples, entry.s.tuples);
+    let block_tuples = halve_to_fit(r_tuples, |n| ctx.fits(n, n.min(s_tuples), depth));
+    let chunk_tuples = halve_to_fit(s_tuples, |n| ctx.fits(block_tuples, n, depth));
     let mut r_reader = SpillReader::open(dir, &entry.r)?;
-    let mut block: Vec<Tuple> = Vec::with_capacity(block_tuples);
-    let mut pending: Option<Vec<Tuple>> = None;
+    let mut r_rest = Vec::new();
     loop {
         ctx.cfg.cancel.check("spill_join")?;
-        // Fill one block from the R run stream (carrying any overflow run).
-        block.clear();
-        if let Some(run) = pending.take() {
-            block.extend(run);
-        }
-        while block.len() < block_tuples {
-            match r_reader.next_run()? {
-                Some(run) => {
-                    if !block.is_empty() && block.len() + run.len() > block_tuples {
-                        pending = Some(run);
-                        break;
-                    }
-                    block.extend(run);
-                }
-                None => break,
-            }
-        }
+        let block = read_block(&mut r_reader, &mut r_rest, block_tuples)?;
         if block.is_empty() {
             break;
         }
-        ctx.counters.bytes_read += (block.len() as u64) * TUPLE_BYTES;
-        let table: std::collections::HashMap<Key, Vec<u32>> = if single_key {
-            std::collections::HashMap::new()
-        } else {
-            let mut t: std::collections::HashMap<Key, Vec<u32>> = std::collections::HashMap::new();
-            for r_tuple in &block {
-                t.entry(r_tuple.key).or_default().push(r_tuple.payload);
-            }
-            t
-        };
-        // Stream S once against this block.
         let mut s_reader = SpillReader::open(dir, &entry.s)?;
-        while let Some(s_run) = s_reader.next_run()? {
-            for s_tuple in &s_run {
-                if single_key {
-                    // A probe tuple matches the whole block or none of it.
-                    if s_tuple.key == entry.r.min_key {
-                        sink.emit_r_run(s_tuple.key, &block, s_tuple.payload);
-                    }
-                } else if let Some(payloads) = table.get(&s_tuple.key) {
-                    for &rp in payloads {
-                        sink.emit(s_tuple.key, rp, s_tuple.payload);
-                    }
-                }
+        let mut s_rest = Vec::new();
+        loop {
+            ctx.cfg.cancel.check("spill_join")?;
+            let chunk = read_block(&mut s_reader, &mut s_rest, chunk_tuples)?;
+            if chunk.is_empty() {
+                break;
             }
+            ctx.join_in_memory(&block, &chunk)?;
         }
         ctx.counters.bytes_read += s_reader.bytes_read();
     }
-    ctx.sinks.push(sink);
+    ctx.counters.bytes_read += r_reader.bytes_read();
     Ok(())
+}
+
+/// Halves `n` until `fits(n)` holds (or `n` is 1).
+fn halve_to_fit(mut n: u64, fits: impl Fn(u64) -> bool) -> u64 {
+    while n > 1 && !fits(n) {
+        n = n.div_ceil(2);
+    }
+    n
+}
+
+/// The next `n` tuples of `reader` (fewer at its end), starting with what
+/// `rest` holds of the last run read, and leaving in it what this block
+/// did not take.
+fn read_block(
+    reader: &mut SpillReader,
+    rest: &mut Vec<Tuple>,
+    n: u64,
+) -> Result<Relation, SpillError> {
+    let mut block = Vec::with_capacity(n as usize);
+    loop {
+        let take = rest.len().min(n as usize - block.len());
+        block.extend(rest.drain(..take));
+        if block.len() == n as usize {
+            break;
+        }
+        match reader.next_run()? {
+            Some(run) => *rest = run,
+            None => break,
+        }
+    }
+    Ok(Relation::from_tuples(block))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::reference_join;
+    use skewjoin_common::sink::{merge_key_counts, KeyCountSink};
     use skewjoin_common::{CancelToken, CountingSink};
+    use skewjoin_datagen::{PaperWorkload, WorkloadSpec};
+    use std::collections::BTreeMap;
 
     fn spill_cfg(budget: u64) -> CpuJoinConfig {
         let mut cfg = CpuJoinConfig::with_threads(2);
@@ -1151,12 +1232,49 @@ mod tests {
         )
     }
 
-    fn assert_matches_reference(r: &Relation, s: &Relation, cfg: &CpuJoinConfig) {
-        let mut sink = CountingSink::new();
-        let expected = reference_join(r, s, &mut sink);
-        let out = grace_join(r, s, cfg, |_| CountingSink::new()).unwrap();
-        assert_eq!(out.stats.result_count, expected.result_count);
-        assert_eq!(out.stats.checksum, expected.checksum);
+    /// Runs `algorithm` out of core and holds it to the per-key oracle
+    /// (`f_R(k)·f_S(k)` results for every key k) and the reference
+    /// checksum.
+    fn assert_matches_reference(
+        algorithm: CpuAlgorithm,
+        r: &Relation,
+        s: &Relation,
+        cfg: &CpuJoinConfig,
+    ) -> JoinStats {
+        let out = algorithm.run(r, s, cfg, |_| KeyCountSink::new()).unwrap();
+        assert_eq!(out.stats.algorithm, format!("Grace({algorithm})"));
+        let count = |rel: &Relation| {
+            let mut counts = BTreeMap::new();
+            for t in rel.tuples() {
+                *counts.entry(t.key).or_insert(0u64) += 1;
+            }
+            counts
+        };
+        let (r_counts, s_counts) = (count(r), count(s));
+        let expected: BTreeMap<Key, u64> = r_counts
+            .iter()
+            .filter_map(|(k, rc)| s_counts.get(k).map(|sc| (*k, rc * sc)))
+            .collect();
+        assert_eq!(merge_key_counts(&out.sinks), expected, "{algorithm}");
+        let reference = reference_join(r, s, &mut CountingSink::new());
+        assert_eq!(
+            out.stats.result_count, reference.result_count,
+            "{algorithm}"
+        );
+        assert_eq!(out.stats.checksum, reference.checksum, "{algorithm}");
+        out.stats
+    }
+
+    fn counting(
+        algorithm: CpuAlgorithm,
+        r: &Relation,
+        s: &Relation,
+        cfg: &CpuJoinConfig,
+    ) -> JoinStats {
+        algorithm
+            .run(r, s, cfg, |_| CountingSink::new())
+            .unwrap()
+            .stats
     }
 
     #[test]
@@ -1229,7 +1347,9 @@ mod tests {
         let r = Relation::from_tuples((0..4096u32).map(|i| Tuple::new(i % 997, i)).collect());
         let s = Relation::from_tuples((0..4096u32).map(|i| Tuple::new(i % 997, i + 1)).collect());
         // Budget far below the input size forces genuine spilling.
-        assert_matches_reference(&r, &s, &spill_cfg(MIN_SPILL_BUDGET));
+        for algorithm in CpuAlgorithm::ALL {
+            assert_matches_reference(algorithm, &r, &s, &spill_cfg(MIN_SPILL_BUDGET));
+        }
     }
 
     #[test]
@@ -1237,22 +1357,23 @@ mod tests {
         let r = zipfish(6000, 3, 11);
         let s = zipfish(6000, 4, 13);
         let cfg = spill_cfg(MIN_SPILL_BUDGET);
-        assert_matches_reference(&r, &s, &cfg);
-        // The hot key's partition cannot fit the budget, so the run must
-        // have recursed or NM-decomposed; verify via the trace.
-        let out = grace_join(&r, &s, &cfg, |_| CountingSink::new()).unwrap();
-        let trace = &out.stats.trace;
-        let nm = trace.get("spill", "pairs_nm_decomposed").unwrap_or(0);
-        let depth = trace
-            .get("spill", counter::SPILL_RECURSION_DEPTH)
-            .unwrap_or(0);
-        assert!(
-            nm > 0 || depth > 0,
-            "expected NM decomposition or recursion, trace:\n{}",
-            trace.render()
-        );
-        assert!(trace.get("spill", counter::SPILL_BYTES_WRITTEN).unwrap() > 0);
-        assert!(trace.get("spill", counter::SPILL_BYTES_READ).unwrap() > 0);
+        for algorithm in CpuAlgorithm::ALL {
+            // The hot key's partition cannot fit the budget, so the run
+            // must have recursed or NM-decomposed; verify via the trace.
+            let stats = assert_matches_reference(algorithm, &r, &s, &cfg);
+            let trace = &stats.trace;
+            let nm = trace.get("spill", "pairs_nm_decomposed").unwrap_or(0);
+            let depth = trace
+                .get("spill", counter::SPILL_RECURSION_DEPTH)
+                .unwrap_or(0);
+            assert!(
+                nm > 0 || depth > 0,
+                "{algorithm}: expected NM decomposition or recursion, trace:\n{}",
+                trace.render()
+            );
+            assert!(trace.get("spill", counter::SPILL_BYTES_WRITTEN).unwrap() > 0);
+            assert!(trace.get("spill", counter::SPILL_BYTES_READ).unwrap() > 0);
+        }
     }
 
     #[test]
@@ -1260,13 +1381,13 @@ mod tests {
         let cfg = spill_cfg(MIN_SPILL_BUDGET);
         let empty = Relation::new();
         let some = Relation::from_keys(&[1, 2, 3]);
-        let out = grace_join(&empty, &some, &cfg, |_| CountingSink::new()).unwrap();
-        assert_eq!(out.stats.result_count, 0);
         // Disjoint key spaces: correct zero results.
         let a = Relation::from_keys(&[1, 2, 3, 4]);
         let b = Relation::from_keys(&[100, 200, 300]);
-        let out = grace_join(&a, &b, &cfg, |_| CountingSink::new()).unwrap();
-        assert_eq!(out.stats.result_count, 0);
+        for algorithm in CpuAlgorithm::ALL {
+            assert_eq!(counting(algorithm, &empty, &some, &cfg).result_count, 0);
+            assert_eq!(counting(algorithm, &a, &b, &cfg).result_count, 0);
+        }
     }
 
     #[test]
@@ -1279,12 +1400,34 @@ mod tests {
                 .collect(),
         );
         let cfg = spill_cfg(MIN_SPILL_BUDGET);
-        let mut sink = CountingSink::new();
-        let expected = reference_join(&r, &s, &mut sink);
-        let out = grace_join(&r, &s, &cfg, |_| CountingSink::new()).unwrap();
-        assert_eq!(out.stats.result_count, expected.result_count);
-        assert_eq!(out.stats.checksum, expected.checksum);
-        assert!(out.stats.trace.get("spill", "pairs_nm_decomposed").unwrap() > 0);
+        for algorithm in CpuAlgorithm::ALL {
+            let stats = assert_matches_reference(algorithm, &r, &s, &cfg);
+            assert!(stats.trace.get("spill", "pairs_nm_decomposed").unwrap() > 0);
+            if algorithm == CpuAlgorithm::Csh {
+                // CSH's own sampler finds the key in the blocks large enough
+                // to sample it twice and emits their results a run at a
+                // time.
+                assert_eq!(stats.trace.skewed_keys.len(), 1, "{}", stats.trace.render());
+                assert!(stats.skew_path_results > stats.result_count / 2);
+            }
+        }
+    }
+
+    #[test]
+    fn spilled_csh_reports_its_hot_keys() {
+        let w = PaperWorkload::generate(WorkloadSpec::paper(8192, 1.0, 21));
+        let cfg = spill_cfg(1 << 20);
+        let stats = assert_matches_reference(CpuAlgorithm::Csh, &w.r, &w.s, &cfg);
+        assert_eq!(stats.algorithm, "Grace(CSH)");
+        assert!(stats.skewed_keys_detected >= 1, "{}", stats.trace.render());
+        assert_eq!(stats.skewed_keys_detected, stats.trace.skewed_keys.len());
+        assert!(stats.skew_path_results > 0);
+        assert_eq!(
+            stats.trace.get("sample", counter::SKEWED_KEYS),
+            Some(stats.skewed_keys_detected as u64)
+        );
+        let nm = stats.trace.get("nm_join", counter::RESULTS).unwrap();
+        assert_eq!(nm + stats.skew_path_results, stats.result_count);
     }
 
     #[test]
@@ -1294,13 +1437,17 @@ mod tests {
         cfg.spill.as_mut().unwrap().scratch_dir = Some(parent.path().to_path_buf());
         let r = zipfish(4000, 5, 3);
         let s = zipfish(4000, 6, 4);
-        let out = grace_join(&r, &s, &cfg, |_| CountingSink::new()).unwrap();
-        assert!(out.stats.result_count > 0);
-        let leftovers: Vec<_> = std::fs::read_dir(parent.path())
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        assert!(leftovers.is_empty(), "leaked scratch state: {leftovers:?}");
+        for algorithm in CpuAlgorithm::ALL {
+            assert!(counting(algorithm, &r, &s, &cfg).result_count > 0);
+            let leftovers: Vec<_> = std::fs::read_dir(parent.path())
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            assert!(
+                leftovers.is_empty(),
+                "{algorithm} leaked scratch state: {leftovers:?}"
+            );
+        }
     }
 
     #[test]
@@ -1310,11 +1457,13 @@ mod tests {
         cfg.cancel.cancel();
         let r = zipfish(4000, 5, 3);
         let s = zipfish(4000, 6, 4);
-        match grace_join(&r, &s, &cfg, |_| CountingSink::new()) {
-            Err(JoinError::Cancelled { phase }) => {
-                assert!(phase.starts_with("spill_"), "{phase}");
+        for algorithm in CpuAlgorithm::ALL {
+            match algorithm.run(&r, &s, &cfg, |_| CountingSink::new()) {
+                Err(JoinError::Cancelled { phase }) => {
+                    assert!(phase.starts_with("spill_"), "{algorithm}: {phase}");
+                }
+                other => panic!("{algorithm}: expected Cancelled, got {other:?}"),
             }
-            other => panic!("expected Cancelled, got {other:?}"),
         }
     }
 
@@ -1400,20 +1549,22 @@ mod tests {
         // is re-partitioned from its run files at depth 1.
         let r = zipfish(1 << 15, usize::MAX, 51);
         let s = zipfish(1 << 15, usize::MAX, 52);
-        let run = |threads: usize| {
-            let mut cfg = spill_cfg(MIN_SPILL_BUDGET);
-            cfg.threads = threads;
-            grace_join(&r, &s, &cfg, |_| CountingSink::new()).unwrap()
-        };
-        let (a, b) = (run(1), run(4));
-        assert_eq!(a.stats.result_count, b.stats.result_count);
-        assert_eq!(a.stats.checksum, b.stats.checksum);
-        for out in [&a, &b] {
-            let depth = out.stats.trace.get("spill", counter::SPILL_RECURSION_DEPTH);
-            assert!(depth >= Some(1), "no recursion: {depth:?}");
+        let reference = reference_join(&r, &s, &mut CountingSink::new()).checksum;
+        for algorithm in CpuAlgorithm::ALL {
+            let run = |threads: usize| {
+                let mut cfg = spill_cfg(MIN_SPILL_BUDGET);
+                cfg.threads = threads;
+                counting(algorithm, &r, &s, &cfg)
+            };
+            let (a, b) = (run(1), run(4));
+            assert_eq!(a.result_count, b.result_count, "{algorithm}");
+            assert_eq!(a.checksum, b.checksum, "{algorithm}");
+            for stats in [&a, &b] {
+                let depth = stats.trace.get("spill", counter::SPILL_RECURSION_DEPTH);
+                assert!(depth >= Some(1), "{algorithm}: no recursion: {depth:?}");
+            }
+            assert_eq!(a.checksum, reference, "{algorithm}");
         }
-        let mut sink = CountingSink::new();
-        assert_eq!(a.stats.checksum, reference_join(&r, &s, &mut sink).checksum);
     }
 
     #[test]
@@ -1424,15 +1575,17 @@ mod tests {
         single.threads = 1;
         let mut multi = spill_cfg(MIN_SPILL_BUDGET);
         multi.threads = 4;
-        let a = grace_join(&r, &s, &single, |_| CountingSink::new()).unwrap();
-        let b = grace_join(&r, &s, &multi, |_| CountingSink::new()).unwrap();
-        assert_eq!(a.stats.result_count, b.stats.result_count);
-        assert_eq!(a.stats.checksum, b.stats.checksum);
-        assert_eq!(
-            b.stats.trace.get("spill", "scatter_threads"),
-            Some(4),
-            "parallel scatter not engaged"
-        );
+        for algorithm in CpuAlgorithm::ALL {
+            let a = counting(algorithm, &r, &s, &single);
+            let b = counting(algorithm, &r, &s, &multi);
+            assert_eq!(a.result_count, b.result_count, "{algorithm}");
+            assert_eq!(a.checksum, b.checksum, "{algorithm}");
+            assert_eq!(
+                b.trace.get("spill", "scatter_threads"),
+                Some(4),
+                "{algorithm}: parallel scatter not engaged"
+            );
+        }
     }
 
     #[test]
@@ -1449,12 +1602,11 @@ mod tests {
             spill.partition_bits = 1;
             spill.max_recursion = 1;
         }
-        let mut sink = CountingSink::new();
-        let expected = reference_join(&r, &s, &mut sink);
-        let out = grace_join(&r, &s, &cfg, |_| CountingSink::new()).unwrap();
-        assert_eq!(out.stats.result_count, expected.result_count);
-        assert_eq!(out.stats.checksum, expected.checksum);
-        // 3000×3000 per key never fits 64 KiB: the NM route must have run.
-        assert!(out.stats.trace.get("spill", "pairs_nm_decomposed").unwrap() > 0);
+        for algorithm in CpuAlgorithm::ALL {
+            let stats = assert_matches_reference(algorithm, &r, &s, &cfg);
+            // 3000×3000 per key never fits 64 KiB: the NM route must have
+            // run.
+            assert!(stats.trace.get("spill", "pairs_nm_decomposed").unwrap() > 0);
+        }
     }
 }

@@ -142,49 +142,45 @@ fn parse_args() -> SoakArgs {
     args
 }
 
-/// A budget between the CPU floor and the GPU estimate for `tuples`-sized
-/// inputs: CPU requests fit (but two cannot reserve at once, forcing
-/// memory-wait queuing), while GPU requests overshoot and must walk the
-/// degradation ladder.
+/// A budget between the CSH and GSH estimates for `tuples`-sized inputs:
+/// requests on the cheaper device fit (but two cannot reserve at once,
+/// forcing memory-wait queuing), while requests on the dearer one overshoot
+/// and must walk the degradation ladder. At the soak's sizes the dearer
+/// device is the CPU: its partitioned copies and start arrays outweigh the
+/// GPU's device tables.
 fn tight_budget(tuples: usize, join_config: &JoinConfig) -> u64 {
-    let cpu = estimate_join_memory(
-        Algorithm::Cpu(CpuAlgorithm::Csh),
-        tuples,
-        tuples,
-        join_config,
-    )
-    .total_bytes();
-    let gpu = estimate_join_memory(
-        Algorithm::Gpu(GpuAlgorithm::Gsh),
-        tuples,
-        tuples,
-        join_config,
-    )
-    .total_bytes();
-    assert!(cpu < gpu, "GPU estimates must exceed CPU ({cpu} vs {gpu})");
-    cpu + (gpu - cpu) / 2
+    let estimate =
+        |algorithm| estimate_join_memory(algorithm, tuples, tuples, join_config).total_bytes();
+    let cpu = estimate(Algorithm::Cpu(CpuAlgorithm::Csh));
+    let gpu = estimate(Algorithm::Gpu(GpuAlgorithm::Gsh));
+    let (low, high) = (cpu.min(gpu), cpu.max(gpu));
+    assert!(low < high, "the CSH and GSH estimates tie at {low} B");
+    low + (high - low) / 2
 }
 
-/// The i-th request of the mix: CPU, GPU, and planner-routed algorithms
-/// over zipf 0 / 0.75 / 1.5, spread across four clients; every fourth
-/// request carries a (generous) deadline so deadline enforcement is live.
+/// The i-th request of the mix: every CPU and GPU algorithm and the
+/// planner, each over zipf 0 / 0.75 / 1.5 in turn, spread across four
+/// clients; every fourth request carries a (generous) deadline so deadline
+/// enforcement is live.
 fn request_for(i: usize, seed: u64, tuples: usize) -> JoinRequest {
     let algos = [
         AlgoChoice::Fixed(Algorithm::Cpu(CpuAlgorithm::Cbase)),
+        AlgoChoice::Fixed(Algorithm::Cpu(CpuAlgorithm::CbaseNpj)),
         AlgoChoice::Fixed(Algorithm::Cpu(CpuAlgorithm::Csh)),
         AlgoChoice::Fixed(Algorithm::Gpu(GpuAlgorithm::Gbase)),
         AlgoChoice::Fixed(Algorithm::Gpu(GpuAlgorithm::Gsh)),
         AlgoChoice::Auto(TargetDevice::Cpu),
     ];
     let zipfs = [0.0, 0.75, 1.5];
+    let period = algos.len() * zipfs.len();
     let mut req = JoinRequest::generate(
         &format!("client-{}", i % 4),
         algos[i % algos.len()],
         tuples,
-        zipfs[i % zipfs.len()],
-        // Seed period 15 = lcm(5 algos, 3 zipfs): requests 15 apart repeat
-        // the exact workload, so Auto requests can hit the plan cache.
-        seed.wrapping_add((i % 15) as u64),
+        zipfs[i / algos.len() % zipfs.len()],
+        // Requests a period (6 algos × 3 zipfs) apart repeat the exact
+        // workload, so Auto requests can hit the plan cache.
+        seed.wrapping_add((i % period) as u64),
     );
     req.priority = match i % 5 {
         0 => Priority::High,

@@ -26,7 +26,7 @@ use std::time::Duration;
 use skewjoin::common::faults::{self, Schedule};
 use skewjoin::common::sink::tuple_mix;
 use skewjoin::common::{JoinError, Key, Payload, Relation, SinkSpec};
-use skewjoin::cpu::{grace_join, SpillConfig, MIN_SPILL_BUDGET};
+use skewjoin::cpu::{SpillConfig, MIN_SPILL_BUDGET};
 use skewjoin::datagen::{PaperWorkload, WorkloadSpec};
 use skewjoin::{run_join, Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig};
 
@@ -305,8 +305,8 @@ fn cell_body(
 ) -> CellOutcome {
     // Spill faults only fire on the out-of-core path, which is CPU-only:
     // route GPU cells through the CPU counterpart the service's spill rung
-    // would pick, and force the grace driver with a tight budget so every
-    // cell actually touches the disk surface under test.
+    // would pick, and run the CPU algorithm under a tight spill budget so
+    // every cell actually touches the disk surface under test.
     let spill_cell = site.starts_with("spill.");
     let algorithm = if spill_cell {
         match algorithm {
@@ -343,24 +343,23 @@ fn cell_body(
     let expected_checksum = reference_checksum(&w.r, &w.s);
 
     // Run 1: the algorithm's direct entry point, per-key oracle. Spill
-    // cells call the grace driver directly — it *is* the entry point the
-    // spill rung routes to.
+    // cells run the requested CPU algorithm under the spill budget.
     faults::reset(seed);
     faults::arm(site, schedule_for(site, seed));
-    let direct = if let Some(scratch) = &scratch {
-        let mut cpu = cpu_config(spec);
-        cpu.spill = Some(spill_config(scratch));
-        grace_join(&w.r, &w.s, &cpu, |_| KeyCountSink::new()).map(|out| {
-            let counts = merge_key_counts(&out.sinks);
-            first_divergence(&expected, &counts)
-                .map(|m| format!("key {}: expected {}, got {}", m.key, m.expected, m.actual))
-        })
-    } else {
-        try_run_with_key_counts(algorithm, &w.r, &w.s, spec).map(|(counts, _)| {
-            first_divergence(&expected, &counts)
-                .map(|m| format!("key {}: expected {}, got {}", m.key, m.expected, m.actual))
-        })
+    let counts = match (&scratch, algorithm) {
+        (Some(scratch), Algorithm::Cpu(cpu_algorithm)) => {
+            let mut cpu = cpu_config(spec);
+            cpu.spill = Some(spill_config(scratch));
+            cpu_algorithm
+                .run(&w.r, &w.s, &cpu, |_| KeyCountSink::new())
+                .map(|out| merge_key_counts(&out.sinks))
+        }
+        _ => try_run_with_key_counts(algorithm, &w.r, &w.s, spec).map(|(counts, _)| counts),
     };
+    let direct = counts.map(|counts| {
+        first_divergence(&expected, &counts)
+            .map(|m| format!("key {}: expected {}, got {}", m.key, m.expected, m.actual))
+    });
 
     // Run 2: the public API, where the device fallback may engage.
     // Re-arm so the schedule's hit counter restarts from zero.
@@ -530,8 +529,8 @@ mod tests {
         assert_eq!(outcome, CellOutcome::Correct { degradations: 0 });
     }
 
-    /// Spill cells route through the grace driver (GPU algorithms mapped
-    /// to their CPU counterpart) and must come back correct with an empty
+    /// Spill cells run their CPU algorithm out of core (GPU algorithms
+    /// mapped to their CPU counterpart) and must come back correct with an empty
     /// scratch directory even without fault injection.
     #[cfg(not(feature = "fault-injection"))]
     #[test]

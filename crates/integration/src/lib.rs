@@ -25,11 +25,11 @@ use std::collections::BTreeMap;
 pub use skewjoin::common::sink::{merge_key_counts, KeyCountSink};
 use skewjoin::common::trace::counter;
 use skewjoin::common::{JoinError, Key, Relation, Trace};
-use skewjoin::cpu::{cbase_join, csh_join, npj_join, CpuJoinConfig};
+use skewjoin::cpu::CpuJoinConfig;
 use skewjoin::datagen::{PaperWorkload, WorkloadSpec};
 use skewjoin::gpu::{gbase_join, gsh_join, GpuJoinConfig};
 pub use skewjoin::Algorithm;
-use skewjoin::{CpuAlgorithm, GpuAlgorithm};
+use skewjoin::GpuAlgorithm;
 
 /// The ground truth per-key result counts of an inner join on `key`:
 /// `|R ⋈ S|ₖ = count_R(k) · count_S(k)`. Independent of every hash-join
@@ -218,12 +218,7 @@ pub fn try_run_with_key_counts(
     let make = |_slot: usize| KeyCountSink::new();
     match algorithm {
         Algorithm::Cpu(algo) => {
-            let cfg = cpu_config(spec);
-            let outcome = match algo {
-                CpuAlgorithm::Cbase => cbase_join(r, s, &cfg, make),
-                CpuAlgorithm::CbaseNpj => npj_join(r, s, &cfg, make),
-                CpuAlgorithm::Csh => csh_join(r, s, &cfg, make),
-            }?;
+            let outcome = algo.run(r, s, &cpu_config(spec), make)?;
             Ok((merge_key_counts(&outcome.sinks), outcome.stats.trace))
         }
         Algorithm::Gpu(algo) => {
@@ -318,6 +313,7 @@ pub fn run_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skewjoin::CpuAlgorithm;
 
     fn small_case() -> CaseSpec {
         CaseSpec {

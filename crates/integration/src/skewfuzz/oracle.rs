@@ -16,10 +16,9 @@ use std::time::Duration;
 use skewjoin::common::hash::mix32;
 use skewjoin::common::trace::counter;
 use skewjoin::common::{CancelToken, JoinError, Key, Relation, Trace};
-use skewjoin::cpu::{cbase_join, csh_join, npj_join};
 use skewjoin::datagen::Rng;
 use skewjoin::gpu::{gbase_join, gsh_join};
-use skewjoin::{Algorithm, CpuAlgorithm, GpuAlgorithm};
+use skewjoin::{Algorithm, GpuAlgorithm};
 
 use crate::chaos::reference_checksum;
 use crate::{
@@ -62,18 +61,9 @@ pub fn run_algorithm(
         Algorithm::Cpu(algo) => {
             let mut cpu = cfg.to_cpu_config();
             cpu.cancel = cancel.clone();
-            // A spill budget reroutes every CPU join through the
-            // out-of-core grace driver — the same routing `run_join_with`
-            // applies — so the knob puts the disk path under every oracle.
-            let out = if cpu.spill.is_some() {
-                skewjoin::cpu::grace_join(r, s, &cpu, make)
-            } else {
-                match algo {
-                    CpuAlgorithm::Cbase => cbase_join(r, s, &cpu, make),
-                    CpuAlgorithm::CbaseNpj => npj_join(r, s, &cpu, make),
-                    CpuAlgorithm::Csh => csh_join(r, s, &cpu, make),
-                }
-            }?;
+            // A spill budget runs the same algorithm out of core, so the
+            // knob puts the disk path under every oracle.
+            let out = algo.run(r, s, &cpu, make)?;
             (out.stats, out.sinks)
         }
         Algorithm::Gpu(algo) => {
@@ -566,6 +556,7 @@ fn count_diff(expected: &BTreeMap<Key, u64>, actual: &BTreeMap<Key, u64>) -> Str
 mod tests {
     use super::*;
     use skewjoin::datagen::Rng;
+    use skewjoin::CpuAlgorithm;
 
     fn quick(case: &JoinCase) -> CaseVerdict {
         check_join_case(case, Duration::from_secs(60))

@@ -831,7 +831,7 @@ mod tests {
             "expected a spill rung in {:?}",
             summary.degradations
         );
-        assert_eq!(summary.algorithm, "Grace(cbase-npj)");
+        assert_eq!(summary.algorithm, "Grace(CSH)");
 
         // Ground truth: the identical workload joined fully in memory.
         let w = PaperWorkload::generate(WorkloadSpec::paper(tuples, 0.0, 1));
@@ -928,12 +928,29 @@ mod tests {
     #[test]
     fn governor_forces_gpu_ladder_under_tight_budget() {
         // Budget fits the CPU twin but not the GPU estimate: the governor
-        // plans CSH up front, so the GPU is never attempted.
-        // At 16 Ki tuples/side the CPU estimate is ≈790 KB and the GPU
-        // estimate ≈1.05 MB (at the 4 radix bits GSH derives there), so
-        // this budget admits the request but rules out the GPU.
-        let tuples = 1 << 14;
-        let budget = 1_000_000;
+        // plans CSH up front, so the GPU is never attempted. At 64 Ki
+        // tuples/side GSH's device tables outweigh CSH's start arrays even
+        // at GSH's narrowest radix, so a budget between the two admits the
+        // request but rules out the GPU.
+        let tuples = 1 << 16;
+        let mut join_config = JoinConfig::default();
+        join_config.cpu.threads = 2;
+        let csh_estimate = skewjoin::planner::estimate_join_memory(
+            Algorithm::Cpu(CpuAlgorithm::Csh),
+            tuples,
+            tuples,
+            &join_config,
+        );
+        join_config.gpu.radix = Some(skewjoin::common::hash::RadixConfig::two_pass(6));
+        let gsh_estimate = skewjoin::planner::estimate_join_memory(
+            Algorithm::Gpu(GpuAlgorithm::Gsh),
+            tuples,
+            tuples,
+            &join_config,
+        );
+        let (cpu, gpu) = (csh_estimate.total_bytes(), gsh_estimate.total_bytes());
+        assert!(cpu < gpu, "CSH {cpu} B, GSH {gpu} B");
+        let budget = cpu + (gpu - cpu) / 2;
         let svc = small_service(1, 8, budget);
         let resp = svc
             .submit(JoinRequest::generate(

@@ -516,7 +516,7 @@ mod injected {
     #[test]
     fn spill_write_fault_at_recursion_depth_one_is_typed_and_leak_free() {
         use skewjoin::common::hash::{mix32, radix_pass};
-        use skewjoin::cpu::{grace_join, CpuJoinConfig};
+        use skewjoin::cpu::CpuJoinConfig;
 
         let _guard = lock();
         let _disarm = DisarmOnDrop;
@@ -548,12 +548,13 @@ mod injected {
         // next one.
         let (err, hits) = with_deadline(60, move || {
             let armed = std::sync::Once::new();
-            let err = grace_join(&r, &s, &cfg, |_| {
-                armed.call_once(|| faults::arm("spill.write", Schedule::OnHit(fanout + 1)));
-                CountingSink::new()
-            })
-            .map(|_| ())
-            .unwrap_err();
+            let err = CpuAlgorithm::CbaseNpj
+                .run(&r, &s, &cfg, |_| {
+                    armed.call_once(|| faults::arm("spill.write", Schedule::OnHit(fanout + 1)));
+                    CountingSink::new()
+                })
+                .map(|_| ())
+                .unwrap_err();
             assert!(armed.is_completed(), "no pair was joined before the fault");
             (err, faults::hits("spill.write"))
         });
@@ -602,7 +603,7 @@ mod injected {
         }
         let stats = second.expect("retry after a consumed fault must succeed");
         assert_eq!((stats.result_count, stats.checksum), truth);
-        assert_eq!(stats.algorithm, "Grace(cbase-npj)");
+        assert_eq!(stats.algorithm, "Grace(CSH)");
         assert_no_scratch_leak(&scratch);
     }
 
