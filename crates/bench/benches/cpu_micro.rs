@@ -27,7 +27,7 @@ fn bench_partitioning() {
     let w = PaperWorkload::generate(WorkloadSpec::paper(N, 0.5, 1));
     for bits in [8u32, 12] {
         let cfg = CpuJoinConfig {
-            radix: RadixConfig::two_pass(bits),
+            radix: Some(RadixConfig::two_pass(bits)),
             ..CpuJoinConfig::with_threads(4)
         };
         bench(&format!("two_pass/{bits}"), 5, || {
@@ -38,10 +38,10 @@ fn bench_partitioning() {
     // per-key runs), at the wide 2048-way first pass.
     let skewed = PaperWorkload::generate(WorkloadSpec::paper(N, 1.0, 1));
     let cfg = CpuJoinConfig {
-        radix: RadixConfig {
+        radix: Some(RadixConfig {
             bits_per_pass: vec![11, 4],
             ..RadixConfig::two_pass(15)
-        },
+        }),
         ..CpuJoinConfig::with_threads(4)
     };
     bench("csh_hooked/11+4", 5, || {
@@ -158,7 +158,7 @@ fn bench_full_joins() {
     group("cpu_join");
     for &zipf in &[0.25f64, 0.9] {
         let w = PaperWorkload::generate(WorkloadSpec::paper(1 << 16, zipf, 4));
-        let cfg = JoinConfig::from(CpuJoinConfig::sized_for(1 << 16, 2048));
+        let cfg = JoinConfig::default();
         for algo in [CpuAlgorithm::Cbase, CpuAlgorithm::Csh] {
             bench(&format!("{}/{zipf}", algo.name()), 3, || {
                 skewjoin::run_join(algo.into(), &w.r, &w.s, &cfg, SinkSpec::Count).unwrap()

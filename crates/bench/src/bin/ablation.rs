@@ -5,7 +5,8 @@
 //!    detected keys as k varies.
 //! 4. **Cbase split factor** — how much the baseline's partition-splitting
 //!    skew handling helps before the single-key wall.
-//! 5. **Radix fan-out** — partition/join balance.
+//! 5. **Radix fan-out** — partition/join balance around the derived
+//!    radix, one pass against two.
 //! 6. **Gbase bucket capacity** — allocation granularity of its dynamic
 //!    partitioning.
 //! 8. **SM count** — GSH's speedup over Gbase as the device widens.
@@ -18,14 +19,12 @@
 
 use std::time::Duration;
 
+use skewjoin::common::hash::RadixConfig;
 use skewjoin::prelude::*;
 use skewjoin_bench::{fmt_time, BenchArgs, BenchRecord};
 
 fn cpu_cfg(args: &BenchArgs) -> CpuJoinConfig {
-    CpuJoinConfig {
-        threads: args.threads,
-        ..CpuJoinConfig::sized_for(args.tuples, 2048)
-    }
+    CpuJoinConfig::with_threads(args.threads)
 }
 
 fn run_cpu(algo: CpuAlgorithm, w: &PaperWorkload, cfg: &CpuJoinConfig) -> JoinStats {
@@ -118,19 +117,23 @@ fn main() {
 
     // ---- 5. Radix fan-out (zipf 0.5). ----
     let mid = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, 0.5, args.seed));
-    println!("\n[5] Cbase radix bits @ zipf 0.5");
-    println!("{:>6} {:>12} {:>12}", "bits", "partition", "join");
-    for bits in [6u32, 10, 14] {
-        let mut cfg = cpu_cfg(&args);
-        cfg.radix = skewjoin::common::hash::RadixConfig::two_pass(bits);
-        let s = run_cpu(CpuAlgorithm::Cbase, &mid, &cfg);
-        println!(
-            "{:>6} {:>12} {:>12}",
-            bits,
-            fmt_time(s.phases.get("partition")),
-            fmt_time(s.phases.get("join"))
-        );
-        record.push(&format!("cbase_bits_{bits}"), 0.5, s.total_time());
+    let derived = CpuJoinConfig::derived_radix(args.tuples).total_bits();
+    println!("\n[5] Cbase radix bits_passes @ zipf 0.5 (derived: {derived} bits)");
+    println!("{:>6} {:>12} {:>12}", "layout", "partition", "join");
+    // Two bits at least, one for each pass of the two-pass layout.
+    for bits in [derived.saturating_sub(2), derived, derived + 2]
+        .into_iter()
+        .filter(|&b| b >= 2)
+    {
+        for radix in [RadixConfig::single_pass(bits), RadixConfig::two_pass(bits)] {
+            let layout = format!("{bits}_{}p", radix.bits_per_pass.len());
+            let mut cfg = cpu_cfg(&args);
+            cfg.radix = Some(radix);
+            let s = run_cpu(CpuAlgorithm::Cbase, &mid, &cfg);
+            let (part, join) = (s.phases.get("partition"), s.phases.get("join"));
+            println!("{layout:>6} {:>12} {:>12}", fmt_time(part), fmt_time(join));
+            record.push(&format!("cbase_bits_{layout}"), 0.5, s.total_time());
+        }
     }
 
     // ---- 6. Gbase bucket capacity (zipf 0.5, simulated). ----

@@ -21,13 +21,7 @@ fn main() {
         "zipf", "Cbase part", "Cbase join", "Gbase part", "Gbase join"
     );
 
-    let cfg = JoinConfig {
-        cpu: CpuJoinConfig {
-            threads: args.threads,
-            ..CpuJoinConfig::sized_for(args.tuples, 2048)
-        },
-        gpu: GpuJoinConfig::default(),
-    };
+    let cfg = JoinConfig::from(CpuJoinConfig::with_threads(args.threads));
 
     for zipf in figure_zipfs() {
         let cw = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, zipf, args.seed));

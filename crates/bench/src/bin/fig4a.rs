@@ -20,10 +20,7 @@ fn main() {
         "zipf", "Cbase", "cbase-npj", "CSH", "CSH speedup"
     );
 
-    let cfg = JoinConfig::from(CpuJoinConfig {
-        threads: args.threads,
-        ..CpuJoinConfig::sized_for(args.tuples, 2048)
-    });
+    let cfg = JoinConfig::from(CpuJoinConfig::with_threads(args.threads));
 
     for zipf in figure_zipfs() {
         let w = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, zipf, args.seed));

@@ -27,13 +27,7 @@ fn main() {
         args.tuples, args.gpu_tuples
     );
 
-    let cfg = JoinConfig {
-        cpu: CpuJoinConfig {
-            threads: args.threads,
-            ..CpuJoinConfig::sized_for(args.tuples, 2048)
-        },
-        gpu: GpuJoinConfig::default(),
-    };
+    let cfg = JoinConfig::from(CpuJoinConfig::with_threads(args.threads));
     let cw = PaperWorkload::generate(WorkloadSpec::paper(args.tuples, zipf, args.seed));
     let cbase = skewjoin::run_join(
         Algorithm::Cpu(CpuAlgorithm::Cbase),

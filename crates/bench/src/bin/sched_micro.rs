@@ -101,7 +101,7 @@ fn bench_partition_only(args: &BenchArgs, record: &mut BenchRecord) {
             for (vi, v) in VARIANTS.iter().enumerate() {
                 let cfg = CpuJoinConfig {
                     threads: args.threads,
-                    radix: radix.clone(),
+                    radix: Some(radix.clone()),
                     scheduler: v.scheduler,
                     ..CpuJoinConfig::default()
                 };
@@ -140,10 +140,7 @@ fn bench_full_joins(args: &BenchArgs, record: &mut BenchRecord) {
         "{:>6} {:>10} | {:>11} {:>11} {:>8} | {:>11} {:>11} {:>8}",
         "zipf", "algo", "part mutex", "part ws", "speedup", "tot mutex", "tot ws", "speedup"
     );
-    let base = CpuJoinConfig {
-        threads: args.threads,
-        ..CpuJoinConfig::sized_for(tuples, 2048)
-    };
+    let base = CpuJoinConfig::with_threads(args.threads);
     for zipf in zipf_sweep() {
         let w = PaperWorkload::generate(WorkloadSpec::paper(tuples, zipf, args.seed));
         for algo in [CpuAlgorithm::Cbase, CpuAlgorithm::Csh] {

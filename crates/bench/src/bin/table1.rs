@@ -28,13 +28,7 @@ fn main() {
     let mut record = BenchRecord::new("table1", &args);
     let zipfs = table1_zipfs();
 
-    let cfg = JoinConfig {
-        cpu: CpuJoinConfig {
-            threads: args.threads,
-            ..CpuJoinConfig::sized_for(args.tuples, 2048)
-        },
-        gpu: GpuJoinConfig::default(),
-    };
+    let cfg = JoinConfig::from(CpuJoinConfig::with_threads(args.threads));
 
     // rows[r] = one label + one value per zipf.
     let labels = [

@@ -187,13 +187,7 @@ fn measure(
         point.gpu_tuples
     };
     let w = PaperWorkload::generate(WorkloadSpec::paper(tuples, point.zipf, SEED));
-    let cfg = JoinConfig {
-        cpu: CpuJoinConfig {
-            threads,
-            ..CpuJoinConfig::sized_for(tuples, 2048)
-        },
-        ..JoinConfig::default()
-    };
+    let cfg = JoinConfig::from(CpuJoinConfig::with_threads(threads));
     let mut best: Option<skewjoin::common::JoinStats> = None;
     for _ in 0..reps {
         let stats = skewjoin::run_join(algorithm, &w.r, &w.s, &cfg, SinkSpec::Count)

@@ -30,6 +30,10 @@ pub mod counter {
     pub const TUPLES_OUT: &str = "tuples_out";
     /// Number of partitions produced.
     pub const PARTITIONS: &str = "partitions";
+    /// Radix bits a partitioning phase fanned out by, all passes together.
+    pub const RADIX_BITS: &str = "radix_bits";
+    /// Radix passes a partitioning phase took to reach its fan-out.
+    pub const RADIX_PASSES: &str = "radix_passes";
     /// Tuples inserted into hash tables during build.
     pub const BUILD_TUPLES: &str = "build_tuples";
     /// Tuples driven through hash-table probes.

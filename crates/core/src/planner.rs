@@ -32,29 +32,11 @@ use skewjoin_gpu::GpuJoinConfig;
 
 use crate::api::{run_join, Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig};
 
-/// Validates a combined [`JoinConfig`] beyond the per-device checks: the
-/// per-device `validate()` calls plus cross-field consistency that only the
-/// combined view can see. Returns the first violation as a specific
-/// [`JoinError::InvalidConfig`].
+/// Validates a combined [`JoinConfig`]: the per-device `validate()` calls.
+/// Returns the first violation as a specific [`JoinError::InvalidConfig`].
 pub fn validate_config(cfg: &JoinConfig) -> Result<(), JoinError> {
     cfg.cpu.validate()?;
-    cfg.gpu.validate()?;
-
-    // Recursive splitting appends `extra_pass_bits` to the radix shift each
-    // round; if even the *first* split round would shift past the 32-bit key
-    // width, Cbase's skew handling is configured away and every oversized
-    // partition becomes a hard overflow.
-    let total = cfg.cpu.radix.total_bits() + cfg.cpu.extra_pass_bits;
-    if total > 32 {
-        return Err(JoinError::InvalidConfig(format!(
-            "radix bits ({}) plus extra_pass_bits ({}) exceed the 32-bit key width — \
-             recursive splitting could never make progress",
-            cfg.cpu.radix.total_bits(),
-            cfg.cpu.extra_pass_bits
-        )));
-    }
-
-    Ok(())
+    cfg.gpu.validate()
 }
 
 /// Which device the plan should target.
@@ -398,9 +380,11 @@ pub fn fit_to_budget(
     })
 }
 
-/// Narrows `algorithm`'s radix 2 bits at a time until its memory estimate
-/// fits `budget`. `Ok` carries the fitted configuration, its estimate and
-/// one rung per narrowing step; `Err` the estimate at the radix floor.
+/// Narrows `algorithm`'s radix 2 bits at a time, from the fan-out it would
+/// run with, until its memory estimate fits `budget`. A CPU radix keeps the
+/// derived rule's pass split ([`CpuJoinConfig::radix_of_bits`]). `Ok`
+/// carries the fitted configuration, its estimate and one rung per
+/// narrowing step; `Err` the estimate at the radix floor.
 fn narrow_to_fit(
     algorithm: Algorithm,
     r_tuples: usize,
@@ -413,7 +397,7 @@ fn narrow_to_fit(
     let mut bits = match algorithm {
         // NPJ builds one global table: its estimate has no radix to narrow.
         Algorithm::Cpu(CpuAlgorithm::CbaseNpj) => MIN_RADIX_BITS,
-        Algorithm::Cpu(_) => cfg.cpu.radix.total_bits(),
+        Algorithm::Cpu(_) => cfg.cpu.radix_for(r_tuples).total_bits(),
         Algorithm::Gpu(_) => gpu_radix_bits(&cfg, r_tuples, s_tuples),
     };
     loop {
@@ -425,10 +409,9 @@ fn narrow_to_fit(
             return Err(estimate);
         }
         bits = bits.saturating_sub(2).max(MIN_RADIX_BITS);
-        let radix = RadixConfig::two_pass(bits);
         match algorithm {
-            Algorithm::Cpu(_) => cfg.cpu.radix = radix,
-            Algorithm::Gpu(_) => cfg.gpu.radix = Some(radix),
+            Algorithm::Cpu(_) => cfg.cpu.radix = Some(CpuJoinConfig::radix_of_bits(bits)),
+            Algorithm::Gpu(_) => cfg.gpu.radix = Some(RadixConfig::two_pass(bits)),
         }
         rungs.push(Rung::NarrowedRadix {
             algorithm: algorithm.to_string(),
@@ -618,7 +601,7 @@ mod tests {
             (|c| c.cpu.morsel_tuples = 7, "morsel_tuples"),
             (
                 |c| {
-                    c.cpu.radix = RadixConfig::two_pass(24);
+                    c.cpu.radix = Some(RadixConfig::two_pass(24));
                     c.cpu.extra_pass_bits = 12;
                 },
                 "32-bit key width",
@@ -706,10 +689,11 @@ mod tests {
 
     #[test]
     fn fit_to_budget_walks_the_ladder_in_order() {
-        // Narrowing the radix shrinks CSH's two start arrays. At 2^17 tuples
-        // a side GSH's estimate exceeds CSH's by its device build tables, so
-        // a budget of CSH's estimate sends a GSH request to its twin.
-        let n = 1 << 17;
+        // At 2^23 tuples CSH derives 11 bits in two passes; narrowing to 9
+        // bits takes one pass and drops the refined copy of the input. GSH's
+        // estimate exceeds CSH's by its device build tables, so a budget of
+        // CSH's estimate sends a GSH request to its twin.
+        let n = 1 << 23;
         let mut cfg = JoinConfig::default();
         cfg.cpu.threads = 1;
         let (csh, gsh) = (
@@ -719,9 +703,9 @@ mod tests {
         let estimate =
             |algorithm, cfg: &JoinConfig| estimate_join_memory(algorithm, n, n, cfg).total_bytes();
         let mut narrowed = cfg.clone();
-        narrowed.cpu.radix = RadixConfig::two_pass(10);
-        let (b10, b12) = (estimate(csh, &narrowed), estimate(csh, &cfg));
-        assert!(b10 < b12 && b12 < estimate(gsh, &cfg));
+        narrowed.cpu.radix = Some(RadixConfig::single_pass(9));
+        let (b9, b11) = (estimate(csh, &narrowed), estimate(csh, &cfg));
+        assert!(b9 < b11 && b11 < estimate(gsh, &cfg));
         let (big, min) = (1 << 30, MIN_SPILL_BUDGET);
 
         // (case, algorithm, memory budget, disk budget, expected): `Ok` is
@@ -730,26 +714,26 @@ mod tests {
         type LastRung = Option<fn(&Rung) -> bool>;
         type Expected = Result<(Algorithm, u32, LastRung), &'static str>;
         let cases: [(&str, Algorithm, u64, u64, Expected); 6] = [
-            ("untouched", csh, big, 0, Ok((csh, 12, None))),
+            ("untouched", csh, big, 0, Ok((csh, 11, None))),
             (
                 "narrow",
                 csh,
-                b10,
+                b9,
                 0,
                 Ok((
                     csh,
-                    10,
-                    Some(|r| matches!(r, Rung::NarrowedRadix { bits: 10, .. })),
+                    9,
+                    Some(|r| matches!(r, Rung::NarrowedRadix { bits: 9, .. })),
                 )),
             ),
             (
                 "twin",
                 gsh,
-                b12,
+                b11,
                 0,
                 Ok((
                     csh,
-                    12,
+                    11,
                     Some(|r| {
                         matches!(r, Rung::CpuTwin { gpu, cpu, cause: TwinCause::Budget { .. } }
                             if gpu == "GSH" && cpu == "CSH")
@@ -763,7 +747,7 @@ mod tests {
                 big,
                 Ok((
                     csh,
-                    12,
+                    11,
                     Some(|r| {
                         matches!(
                             r,
@@ -782,7 +766,7 @@ mod tests {
             match (fit_to_budget(algorithm, n, n, &cfg, memory, disk), expected) {
                 (Ok(plan), Ok((algorithm, bits, last_rung))) => {
                     assert_eq!(plan.algorithm, algorithm, "{name}");
-                    assert_eq!(plan.config.cpu.radix.total_bits(), bits, "{name}");
+                    assert_eq!(plan.config.cpu.radix_for(n).total_bits(), bits, "{name}");
                     let spilled = matches!(plan.rungs.last(), Some(Rung::Spill { .. }));
                     assert_eq!(plan.config.cpu.spill.is_some(), spilled, "{name}");
                     assert!(plan.memory_bytes <= memory, "{name}");
@@ -842,7 +826,9 @@ mod tests {
             let s = 1 + next(1 << 20) as usize;
             let mut cfg = JoinConfig::default();
             cfg.cpu.threads = 1 + next(16) as usize;
-            cfg.cpu.radix = RadixConfig::two_pass(2 + next(15) as u32);
+            if next(2) == 0 {
+                cfg.cpu.radix = Some(RadixConfig::two_pass(2 + next(15) as u32));
+            }
             if next(2) == 0 {
                 cfg.gpu.radix = Some(RadixConfig::two_pass(2 + next(15) as u32));
             }
@@ -880,6 +866,11 @@ mod tests {
                 );
             } else if !algorithm.is_cpu() {
                 twins += 1;
+            } else {
+                assert!(
+                    plan.config.cpu.radix_for(r).total_bits() <= cfg.cpu.radix_for(r).total_bits(),
+                    "case {case}: a CPU plan widened its fan-out"
+                );
             }
         }
         // The sweep reaches every rung, not just the happy path.

@@ -84,8 +84,9 @@ impl CpuAlgorithm {
     ///   of `DEQUE_SLOTS` tasks, and the buffers the deques outgrow;
     /// * **cbase-npj** — one global chained table over R: a 4-byte head per
     ///   power-of-two bucket and a 4-byte link per R tuple;
-    /// * **Cbase / CSH** — the pipeline's partitioned copy of both inputs
-    ///   (two under a multi-pass radix: scratch and refined), the two
+    /// * **Cbase / CSH** — under the radix the join runs with (pinned, or
+    ///   derived from `r_tuples`): the pipeline's partitioned copy of both
+    ///   inputs (two under a multi-pass radix: scratch and refined), the two
     ///   `total_fanout` start arrays, the pass-0 histograms and cursors of
     ///   every input segment, a build table per final partition (a head per
     ///   power-of-two bucket and a link per tuple: at most 12 B per R
@@ -110,7 +111,7 @@ impl CpuAlgorithm {
                 4 * buckets + 4 * r + workers(0, npj::TASK_BYTES)
             }
             CpuAlgorithm::Cbase | CpuAlgorithm::Csh => {
-                let radix = &cfg.radix;
+                let radix = cfg.radix_for(r_tuples);
                 let (fanout0, total_fanout) = (radix.fanout(0) as u64, radix.total_fanout() as u64);
                 let copies = radix.bits_per_pass.len().min(2) as u64 * input;
                 let starts = 2 * total_fanout * 8;

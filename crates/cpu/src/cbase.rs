@@ -402,7 +402,7 @@ mod tests {
         let r = Relation::from_keys(&keys);
         let s = Relation::from_keys(&keys);
         let mut cfg = CpuJoinConfig::with_threads(4);
-        cfg.radix = skewjoin_common::hash::RadixConfig::two_pass(4);
+        cfg.radix = Some(skewjoin_common::hash::RadixConfig::two_pass(4));
         cfg.split_factor = 1.5;
         assert_matches_reference(&r, &s, &cfg);
     }

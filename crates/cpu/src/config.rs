@@ -6,6 +6,13 @@ use skewjoin_common::{CancelToken, JoinError};
 use crate::simd::SimdPolicy;
 use crate::task::SchedulerKind;
 
+/// Build tuples a final radix partition is sized for (its table, at most
+/// 12 B a tuple, fits a core's L2 cache).
+pub const TARGET_PARTITION_TUPLES: usize = 4096;
+
+/// Most radix bits one pass takes, so it writes at most 1 Ki streams.
+pub const MAX_BITS_PER_PASS: u32 = 10;
+
 /// Default tuples per pipeline morsel (~16 K tuples = 128 KiB of input, a
 /// cache-friendly unit that still yields enough tasks to keep the
 /// work-stealing scheduler balanced).
@@ -57,9 +64,11 @@ impl SkewDetectConfig {
 pub struct CpuJoinConfig {
     /// Worker threads (paper: 20). Defaults to the machine's parallelism.
     pub threads: usize,
-    /// Radix partitioning scheme (paper/Cbase default: two passes, 14 bits
-    /// total → 16 Ki cache-sized partitions for 32 M tuples).
-    pub radix: RadixConfig,
+    /// Radix partitioning scheme. `None` (the default) sizes it to the build
+    /// side, [`CpuJoinConfig::derived_radix`]; `Some` pins it for in-memory
+    /// joins (a spilled join's pairs derive their own). The paper's Cbase
+    /// runs two passes of 7 bits at 32 M tuples.
+    pub radix: Option<RadixConfig>,
     /// Cbase skew handling: a partition pair whose R side exceeds
     /// `split_factor ×` the average partition size is re-partitioned with
     /// `extra_pass_bits` additional radix bits (recursively, while splitting
@@ -100,7 +109,7 @@ impl Default for CpuJoinConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            radix: RadixConfig::two_pass(12),
+            radix: None,
             split_factor: 3.0,
             extra_pass_bits: 4,
             skew: SkewDetectConfig::default(),
@@ -123,15 +132,34 @@ impl CpuJoinConfig {
         }
     }
 
-    /// Configuration sized for a given input cardinality: total radix bits
-    /// chosen so final partitions are roughly `target_partition_tuples`.
-    pub fn sized_for(tuples: usize, target_partition_tuples: usize) -> Self {
-        let parts = (tuples / target_partition_tuples.max(1)).max(1);
-        let bits = (parts.next_power_of_two().trailing_zeros()).clamp(2, 18);
-        Self {
-            radix: RadixConfig::two_pass(bits),
-            ..Self::default()
+    /// The radix layout for `bits` total bits: one pass up to
+    /// [`MAX_BITS_PER_PASS`], two even passes above it.
+    pub fn radix_of_bits(bits: u32) -> RadixConfig {
+        if bits <= MAX_BITS_PER_PASS {
+            RadixConfig::single_pass(bits)
+        } else {
+            RadixConfig::two_pass(bits)
         }
+    }
+
+    /// The radix a build side of `r_tuples` is partitioned with by default:
+    /// `max(1, ⌈log2(r_tuples / TARGET_PARTITION_TUPLES)⌉)` bits, so a final
+    /// partition holds at most [`TARGET_PARTITION_TUPLES`] tuples on
+    /// average, laid out by [`CpuJoinConfig::radix_of_bits`]. It depends on
+    /// nothing but `r_tuples`, so a join has one layout at every thread
+    /// count.
+    pub fn derived_radix(r_tuples: usize) -> RadixConfig {
+        let parts = r_tuples.div_ceil(TARGET_PARTITION_TUPLES);
+        let bits = parts.next_power_of_two().trailing_zeros().clamp(1, 24);
+        Self::radix_of_bits(bits)
+    }
+
+    /// The radix a join of a `r_tuples` build side runs with: the pinned
+    /// one, or [`CpuJoinConfig::derived_radix`].
+    pub fn radix_for(&self, r_tuples: usize) -> RadixConfig {
+        self.radix
+            .clone()
+            .unwrap_or_else(|| Self::derived_radix(r_tuples))
     }
 
     /// Validates the configuration.
@@ -139,16 +167,18 @@ impl CpuJoinConfig {
         if self.threads == 0 {
             return Err(JoinError::InvalidConfig("threads must be > 0".into()));
         }
-        if self.radix.bits_per_pass.is_empty() || self.radix.total_bits() == 0 {
-            return Err(JoinError::InvalidConfig(
-                "radix config needs at least one pass with > 0 bits".into(),
-            ));
-        }
-        if self.radix.total_bits() > 24 {
-            return Err(JoinError::InvalidConfig(format!(
-                "radix fan-out 2^{} is unreasonably large",
-                self.radix.total_bits()
-            )));
+        if let Some(radix) = &self.radix {
+            if radix.bits_per_pass.is_empty() || radix.total_bits() == 0 {
+                return Err(JoinError::InvalidConfig(
+                    "radix config needs at least one pass with > 0 bits".into(),
+                ));
+            }
+            if radix.total_bits() > 24 {
+                return Err(JoinError::InvalidConfig(format!(
+                    "radix fan-out 2^{} is unreasonably large",
+                    radix.total_bits()
+                )));
+            }
         }
         if self.split_factor < 1.0 {
             return Err(JoinError::InvalidConfig(
@@ -159,6 +189,17 @@ impl CpuJoinConfig {
             return Err(JoinError::InvalidConfig(
                 "extra_pass_bits must be in 1..=12".into(),
             ));
+        }
+        // Recursive splitting appends `extra_pass_bits` to the radix shift
+        // each round; if even the first round would shift past the 32-bit
+        // key, Cbase's skew handling is configured away.
+        let pinned_bits = self.radix.as_ref().map_or(0, RadixConfig::total_bits);
+        if pinned_bits + self.extra_pass_bits > 32 {
+            return Err(JoinError::InvalidConfig(format!(
+                "radix bits ({pinned_bits}) plus extra_pass_bits ({}) exceed the 32-bit key \
+                 width — recursive splitting could never make progress",
+                self.extra_pass_bits
+            )));
         }
         // 0 would shift table_hash by the full word width (a panic in debug
         // builds, an out-of-range bucket in release); past 28 the bucket
@@ -195,11 +236,21 @@ mod tests {
     }
 
     #[test]
-    fn sized_for_picks_reasonable_bits() {
-        let cfg = CpuJoinConfig::sized_for(1 << 20, 1 << 10);
-        assert_eq!(cfg.radix.total_bits(), 10);
-        let tiny = CpuJoinConfig::sized_for(100, 1 << 10);
-        assert_eq!(tiny.radix.total_bits(), 2);
+    fn derived_radix_targets_4096_tuples_and_one_pass_up_to_10_bits() {
+        for (log_r, passes) in [
+            (10, vec![1]),
+            (12, vec![1]),
+            (15, vec![3]),
+            (18, vec![6]),
+            (22, vec![10]),
+            (25, vec![6, 7]),
+        ] {
+            let radix = CpuJoinConfig::derived_radix(1 << log_r);
+            assert_eq!(radix.bits_per_pass, passes, "|R| = 2^{log_r}");
+        }
+        // Between powers of two the fan-out rounds up, never down.
+        assert_eq!(CpuJoinConfig::derived_radix((1 << 18) + 1).total_bits(), 7);
+        assert_eq!(CpuJoinConfig::derived_radix(0).total_bits(), 1);
     }
 
     #[test]

@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
+use skewjoin_common::hash::RadixConfig;
 use skewjoin_common::histogram::{exclusive_prefix_sum, histogram, per_worker_offsets};
 use skewjoin_common::trace::counter;
 use skewjoin_common::{CancelToken, JoinError, JoinStats, OutputSink, Relation, Tuple};
@@ -144,26 +145,32 @@ impl Task {
 }
 
 /// Backing storage the pipeline hands out raw views into; it outlives the
-/// scheduler run. For single-pass configs the scratch buffer *is* the final
-/// buffer, so `refined` stays empty.
+/// scheduler run.
 struct Buffers {
-    scratch: [Vec<Tuple>; 2],
-    refined: [Vec<Tuple>; 2],
-    child_starts: [Vec<usize>; 2],
+    /// The radix the run partitions with: pinned, or derived from |R|.
+    radix: RadixConfig,
+    sides: [SideBuffers; 2],
+}
+
+/// One side's buffers. For single-pass configs the scratch buffer *is* the
+/// final buffer, so `refined` stays empty.
+struct SideBuffers {
+    scratch: Vec<Tuple>,
+    refined: Vec<Tuple>,
+    child_starts: Vec<usize>,
 }
 
 impl Buffers {
     fn new(r: &Relation, s: &Relation, cfg: &CpuJoinConfig) -> Self {
-        let tuples = |n: usize| vec![Tuple::default(); n];
-        let starts = || vec![0; cfg.radix.total_fanout()];
+        let radix = cfg.radix_for(r.len());
+        let side = |n: usize| SideBuffers {
+            scratch: vec![Tuple::default(); n],
+            refined: vec![Tuple::default(); if radix.bits_per_pass.len() > 1 { n } else { 0 }],
+            child_starts: vec![0; radix.total_fanout()],
+        };
         Self {
-            scratch: [tuples(r.len()), tuples(s.len())],
-            refined: if cfg.radix.bits_per_pass.len() > 1 {
-                [tuples(r.len()), tuples(s.len())]
-            } else {
-                [Vec::new(), Vec::new()]
-            },
-            child_starts: [starts(), starts()],
+            sides: [side(r.len()), side(s.len())],
+            radix,
         }
     }
 }
@@ -203,19 +210,18 @@ impl<'a> SideState<'a> {
     fn new(
         input: &'a [Tuple],
         cfg: &CpuJoinConfig,
+        radix: &RadixConfig,
         min_segs: usize,
         buckets: usize,
-        scratch: &mut [Tuple],
-        refined: &mut [Tuple],
-        child_starts: &mut [usize],
+        bufs: &mut SideBuffers,
     ) -> Self {
         let segs = input
             .len()
             .div_ceil(cfg.morsel_tuples.max(1))
             .max(min_segs)
             .clamp(1, MAX_SEGMENTS);
-        let multi_pass = cfg.radix.bits_per_pass.len() > 1;
-        let scratch = SharedTupleSlice::new(scratch);
+        let multi_pass = radix.bits_per_pass.len() > 1;
+        let scratch = SharedTupleSlice::new(&mut bufs.scratch);
         Self {
             input,
             segs,
@@ -225,14 +231,14 @@ impl<'a> SideState<'a> {
             cursor_rows: Mutex::new(Vec::new()),
             pass0_starts: OnceLock::new(),
             scatters_left: AtomicUsize::new(segs),
-            refines_left: AtomicUsize::new(if multi_pass { cfg.radix.fanout(0) } else { 0 }),
+            refines_left: AtomicUsize::new(if multi_pass { radix.fanout(0) } else { 0 }),
             scratch,
             finals: if multi_pass {
-                SharedTupleSlice::new(refined)
+                SharedTupleSlice::new(&mut bufs.refined)
             } else {
                 scratch
             },
-            child_starts: SharedUsizeSlice::new(child_starts),
+            child_starts: SharedUsizeSlice::new(&mut bufs.child_starts),
             morsels: AtomicU64::new(0),
         }
     }
@@ -246,6 +252,8 @@ impl<'a> SideState<'a> {
 /// Shared state of one pipelined join run.
 struct Pipeline<'a> {
     cfg: &'a CpuJoinConfig,
+    /// The radix layout this run partitions with (pinned or derived).
+    radix: RadixConfig,
     passes: usize,
     fanout0: usize,
     /// Children per pass-0 partition (`total_fanout / fanout0`).
@@ -287,16 +295,14 @@ impl<'a> Pipeline<'a> {
         flavor: Flavor<'a>,
         bufs: &'a mut Buffers,
     ) -> Self {
-        let radix = &cfg.radix;
+        let radix = bufs.radix.clone();
         let fanout0 = radix.fanout(0);
         let total_fanout = radix.total_fanout();
         let hot = match flavor {
             Flavor::Csh(table) if !table.is_empty() => Some(table),
             _ => None,
         };
-        let [r_scratch, s_scratch] = &mut bufs.scratch;
-        let [r_refined, s_refined] = &mut bufs.refined;
-        let [r_child, s_child] = &mut bufs.child_starts;
+        let [r_bufs, s_bufs] = &mut bufs.sides;
         let r_buckets = fanout0 + hot.map_or(0, SkewCheckupTable::len);
         let s_min_segs = if hot.is_some() {
             HOT_S_SEGMENTS_PER_THREAD * cfg.threads
@@ -312,16 +318,8 @@ impl<'a> Pipeline<'a> {
             flavor,
             hot,
             sides: [
-                SideState::new(r.tuples(), cfg, 1, r_buckets, r_scratch, r_refined, r_child),
-                SideState::new(
-                    s.tuples(),
-                    cfg,
-                    s_min_segs,
-                    fanout0,
-                    s_scratch,
-                    s_refined,
-                    s_child,
-                ),
+                SideState::new(r.tuples(), cfg, &radix, 1, r_buckets, r_bufs),
+                SideState::new(s.tuples(), cfg, &radix, s_min_segs, fanout0, s_bufs),
             ],
             join: JoinPhase::new(
                 cfg,
@@ -340,6 +338,7 @@ impl<'a> Pipeline<'a> {
             stage_ns: [AtomicU64::new(0), AtomicU64::new(0)],
             join_started: AtomicBool::new(false),
             error_stage: AtomicUsize::new(0),
+            radix,
         }
     }
 
@@ -412,7 +411,7 @@ impl<'a> Pipeline<'a> {
     /// tuple counts toward its key's run bucket and a hot S tuple is not
     /// counted at all (it will be consumed, not stored).
     fn hist(&self, side: Side, chunk: &[Tuple]) -> Vec<usize> {
-        let radix = &self.cfg.radix;
+        let radix = &self.radix;
         let mut hist = histogram(chunk, radix, 0);
         let Some(hot) = self.hot else {
             return hist;
@@ -524,14 +523,7 @@ impl<'a> Pipeline<'a> {
         cursors: Vec<usize>,
         route: impl FnMut(&Tuple) -> Route,
     ) {
-        scatter_direct(
-            chunk,
-            &self.cfg.radix,
-            cursors,
-            st.scratch,
-            self.simd,
-            route,
-        );
+        scatter_direct(chunk, &self.radix, cursors, st.scratch, self.simd, route);
     }
 
     /// S's scatter under the hot-key hook: cold tuples scatter as usual; a
@@ -621,9 +613,9 @@ impl<'a> Pipeline<'a> {
         let mut dir: Vec<usize> = vec![0, end - base];
         let mut pids = [0u32; HASH_BATCH];
         for pass in 1..self.passes {
-            let fanout = self.cfg.radix.fanout(pass);
+            let fanout = self.radix.fanout(pass);
             let parents = dir.len() - 1;
-            let (mixed, shift, mask) = pass_spec(&self.cfg.radix, pass);
+            let (mixed, shift, mask) = pass_spec(&self.radix, pass);
             let mut child = vec![0usize; parents * fanout + 1];
             // SAFETY: spawned (transitively) by the last Scatter finisher, so
             // every scatter write happens-before via the countdown + queue
@@ -633,7 +625,7 @@ impl<'a> Pipeline<'a> {
             for p in 0..parents {
                 let lo = dir[p];
                 let slice = &data[lo..dir[p + 1]];
-                let mut cursors = histogram(slice, &self.cfg.radix, pass);
+                let mut cursors = histogram(slice, &self.radix, pass);
                 exclusive_prefix_sum(&mut cursors);
                 for (j, &c) in cursors.iter().enumerate() {
                     child[p * fanout + j] = lo + c;
@@ -701,7 +693,7 @@ impl<'a> Pipeline<'a> {
     }
 
     fn spawn_joins(&self, parent: usize, w: &Worker<'_, Task>) {
-        let shift = self.cfg.radix.total_bits();
+        let shift = self.radix.total_bits();
         for j in 0..self.fanout_rest {
             // SAFETY: called from the gate's second arm; the `fetch_or`'s
             // Acquire pairs with the publishing side's Release, so both
@@ -782,7 +774,7 @@ impl<'a> Pipeline<'a> {
         stats
             .phases
             .record(phase_join, nonzero(wall - partition_end));
-        let total_fanout = self.cfg.radix.total_fanout();
+        let total_fanout = self.radix.total_fanout();
         stats.partitions = total_fanout;
 
         let skew_probes = self.skew_probes.load(Ordering::Relaxed);
@@ -794,6 +786,8 @@ impl<'a> Pipeline<'a> {
             p.add(counter::TUPLES_IN, st.input.len() as u64);
             p.add(counter::TUPLES_OUT, stored + consumed);
             p.set(counter::PARTITIONS, total_fanout as u64);
+            p.set(counter::RADIX_BITS, u64::from(self.radix.total_bits()));
+            p.set(counter::RADIX_PASSES, self.passes as u64);
             p.add(counter::MORSELS, st.morsels.load(Ordering::Relaxed));
         }
         if let Flavor::Csh(_) = self.flavor {
@@ -846,7 +840,9 @@ impl<S: OutputSink> HotProbe<'_, S> {
     }
 }
 
-/// Runs the full morsel-driven partition→build→probe pipeline for `flavor`.
+/// Runs the full morsel-driven partition→build→probe pipeline for `flavor`,
+/// partitioning with `cfg`'s pinned radix or the one derived from `r`'s
+/// size ([`CpuJoinConfig::radix_for`]).
 ///
 /// Creates one sink per thread via `make_sink`, drives all stages through a
 /// single scheduler run, and records per-phase times, partition counts, and
@@ -875,7 +871,7 @@ where
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use skewjoin_common::hash::RadixConfig;
+    use skewjoin_common::hash::{RadixConfig, RadixMode};
     use skewjoin_common::CountingSink;
     use skewjoin_datagen::{PaperWorkload, WorkloadSpec};
 
@@ -1028,14 +1024,15 @@ pub(crate) mod tests {
         let skewed_expected = expected(&skewed_r, &skewed_s);
         for bits in [vec![6u32], vec![4, 4, 4]] {
             let mut cfg = CpuJoinConfig::with_threads(2);
-            cfg.radix = RadixConfig {
+            cfg.radix = Some(RadixConfig {
                 bits_per_pass: bits.clone(),
-                ..cfg.radix
-            };
+                mode: RadixMode::Mixed,
+            });
+            let fanout = cfg.radix_for(r.len()).total_fanout();
             let (count, checksum, stats) = run(&cfg, &r, &s);
             assert_eq!(count, exp_count, "bits_per_pass={bits:?}");
             assert_eq!(checksum, exp_checksum, "bits_per_pass={bits:?}");
-            assert_eq!(stats.partitions, cfg.radix.total_fanout());
+            assert_eq!(stats.partitions, fanout);
             // CSH with its hook engaged: hot runs sit past the radix
             // buckets whatever the number of refine passes.
             let (count, checksum, stats) = run_csh(&cfg, &skewed_r, &skewed_s);
@@ -1045,7 +1042,42 @@ pub(crate) mod tests {
                 skewed_expected,
                 "CSH bits_per_pass={bits:?}"
             );
-            assert_eq!(stats.partitions, cfg.radix.total_fanout());
+            assert_eq!(stats.partitions, fanout);
+        }
+    }
+
+    #[test]
+    fn default_radix_is_derived_from_the_build_side_and_a_pin_overrides_it() {
+        for (tuples, zipf) in [(1 << 12, 0.5), (1 << 15, 1.0), (20_000, 0.0)] {
+            let (r, s) = inputs(tuples, zipf, 23);
+            let pin = RadixConfig::two_pass(12);
+            let derived = CpuJoinConfig::derived_radix(r.len());
+            for (radix, expect) in [(None, derived), (Some(pin.clone()), pin)] {
+                let cfg = CpuJoinConfig {
+                    radix,
+                    ..CpuJoinConfig::with_threads(2)
+                };
+                let (.., cbase) = run(&cfg, &r, &s);
+                let (.., csh) = run_csh(&cfg, &r, &s);
+                for (stats, phase) in [
+                    (&cbase, "partition"),
+                    (&csh, "partition_r"),
+                    (&csh, "partition_s"),
+                ] {
+                    let got = |name| stats.trace.get(phase, name).unwrap_or(0) as usize;
+                    let layout = (
+                        stats.partitions,
+                        got(counter::RADIX_BITS),
+                        got(counter::RADIX_PASSES),
+                    );
+                    let want = (
+                        expect.total_fanout(),
+                        expect.total_bits() as usize,
+                        expect.bits_per_pass.len(),
+                    );
+                    assert_eq!(layout, want, "{tuples} tuples, {phase}, {cfg:?}");
+                }
+            }
         }
     }
 

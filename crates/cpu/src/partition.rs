@@ -177,7 +177,7 @@ mod tests {
     /// Small morsels, so even the short test inputs span several segments.
     fn config(radix: RadixConfig, threads: usize) -> CpuJoinConfig {
         CpuJoinConfig {
-            radix,
+            radix: Some(radix),
             morsel_tuples: 256,
             ..CpuJoinConfig::with_threads(threads)
         }
@@ -349,7 +349,9 @@ mod tests {
         for parts in &out.parts {
             assert_eq!(sorted(parts.concat()), sorted(cold.clone()));
             for (pid, part) in parts.iter().enumerate() {
-                assert!(part.iter().all(|t| memory_pid(&cfg.radix, t.key) == pid));
+                assert!(part
+                    .iter()
+                    .all(|t| memory_pid(&cfg.radix_for(0), t.key) == pid));
             }
         }
         for (run, &key) in out.hot_runs.iter().zip(&hot_keys) {

@@ -43,12 +43,12 @@
 //! ## Recursion policy
 //!
 //! A reloaded pair that still exceeds the in-memory budget is re-partitioned
-//! with the *next* `partition_bits` bits of the mixed key (level `d` consumes
-//! bits `[d·bits, (d+1)·bits)`), up to `max_recursion` levels. A partition
-//! holding a single distinct build key cannot be split by any hash — it
-//! routes to an NM-style decomposition instead (R loaded a block at a time,
-//! S streamed against each block in chunks, every block and chunk joined by
-//! the requested algorithm). A multi-key pair still over budget at the
+//! with the *next* `partition_bits` bits of [`spill_hash`] (level `d`
+//! consumes bits `[d·bits, (d+1)·bits)`), up to `max_recursion` levels. A
+//! partition holding a single distinct build key cannot be split by any
+//! hash — it routes to an NM-style decomposition instead (R loaded a block
+//! at a time, S streamed against each block in chunks, every block and
+//! chunk joined by the requested algorithm). A multi-key pair still over budget at the
 //! recursion cap (or out of 32-bit hash window) takes the same NM
 //! decomposition as a recorded degradation — the join always completes
 //! under the budget; it never rejects for data shape.
@@ -69,7 +69,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use skewjoin_common::hash::{mix32, mix64, radix_pass, RadixConfig};
+use skewjoin_common::hash::{mix64, radix_pass};
 use skewjoin_common::scratch::ScratchDir;
 use skewjoin_common::trace::{counter, Rung};
 use skewjoin_common::{faults, JoinError, JoinStats, Key, OutputSink, Relation, Trace, Tuple};
@@ -644,22 +644,25 @@ fn scatter_buffer_tuples(mem_budget: u64, buffers: usize) -> usize {
 /// The configuration a reloaded pair (or an NM block) of `r_tuples ⋈
 /// s_tuples` is joined under: in memory, single-threaded when small
 /// (per-pair thread spawns would dominate at high fan-outs), and with the
-/// radix fan-out capped at one final partition per 8 build tuples, so the
-/// pipeline's start arrays scale with the pair rather than the request.
+/// radix derived from the pair's own build side. A pinned radix is sized
+/// for the whole input, and the spill sizes pairs by their footprint: a
+/// wide pin would leave no pair that fits.
 fn pair_config(cfg: &CpuJoinConfig, r_tuples: u64, s_tuples: u64) -> CpuJoinConfig {
     let mut inner = cfg.clone();
     inner.spill = None;
+    inner.radix = None;
     if r_tuples + s_tuples < 16 * 1024 {
         inner.threads = 1;
     }
-    let cap = (r_tuples / 8).max(4).ilog2();
-    if inner.radix.total_bits() > cap {
-        inner.radix = RadixConfig {
-            mode: inner.radix.mode,
-            ..RadixConfig::two_pass(cap)
-        };
-    }
     inner
+}
+
+/// The hash spill levels partition by: SplitMix64 of the key. Its bits are
+/// independent of the mixed key's low bits, which a pair's in-memory radix
+/// reads, and of its high bits, which the hash tables read, so a reloaded
+/// pair's keys still spread over every partition and bucket.
+pub fn spill_hash(key: Key) -> u32 {
+    mix64(u64::from(key)) as u32
 }
 
 #[derive(Default)]
@@ -843,7 +846,7 @@ fn partition_to_files(
             }
         };
         for t in tuples {
-            let p = radix_pass(mix32(t.key), shift, bits);
+            let p = radix_pass(spill_hash(t.key), shift, bits);
             buffers[p].push(*t);
             if buffers[p].len() >= buffer_tuples {
                 append(p, &mut buffers[p])?;
@@ -1346,9 +1349,17 @@ mod tests {
     fn grace_join_matches_reference_uniform() {
         let r = Relation::from_tuples((0..4096u32).map(|i| Tuple::new(i % 997, i)).collect());
         let s = Relation::from_tuples((0..4096u32).map(|i| Tuple::new(i % 997, i + 1)).collect());
-        // Budget far below the input size forces genuine spilling.
+        // Budget far below the input size forces genuine spilling. A pinned
+        // fan-out far too wide for any pair still leaves every pair its own
+        // derived radix, so the pairs fit.
+        let pinned = CpuJoinConfig {
+            radix: Some(skewjoin_common::hash::RadixConfig::two_pass(20)),
+            ..spill_cfg(MIN_SPILL_BUDGET)
+        };
         for algorithm in CpuAlgorithm::ALL {
-            assert_matches_reference(algorithm, &r, &s, &spill_cfg(MIN_SPILL_BUDGET));
+            for cfg in [spill_cfg(MIN_SPILL_BUDGET), pinned.clone()] {
+                assert_matches_reference(algorithm, &r, &s, &cfg);
+            }
         }
     }
 
@@ -1591,7 +1602,7 @@ mod tests {
     #[test]
     fn recursion_cap_falls_back_to_nm_decomposition() {
         // A multi-key pair over budget with minimal recursion headroom:
-        // whether or not mix32 separates the two keys within one bit of
+        // whether or not spill_hash separates the two keys within one bit of
         // window, the join must COMPLETE (never reject for data shape),
         // via NM decomposition when splitting is exhausted.
         let r = Relation::from_tuples((0..6000u32).map(|i| Tuple::new(i % 2, i)).collect());

@@ -184,10 +184,7 @@ impl std::fmt::Display for Divergence {
 
 /// The CPU configuration a matrix cell runs under.
 pub fn cpu_config(spec: CaseSpec) -> CpuJoinConfig {
-    CpuJoinConfig {
-        threads: spec.threads,
-        ..CpuJoinConfig::sized_for(spec.size.max(1), 2048)
-    }
+    CpuJoinConfig::with_threads(spec.threads)
 }
 
 /// The GPU configuration a matrix cell runs under. Diffcheck workloads are
@@ -264,7 +261,9 @@ pub fn diff_counts(
         seed: spec.seed,
         size: spec.size,
         zipf: spec.zipf,
-        partition: cpu_config(spec).radix.final_partition_of(mismatch.key),
+        partition: cpu_config(spec)
+            .radix_for(spec.size)
+            .final_partition_of(mismatch.key),
         phase: localize_phase(trace, mismatch.key),
         report: Trace::render_side_by_side("reference (expected)", &reference, algorithm, trace),
         mismatch,

@@ -208,12 +208,14 @@ fn draw_config(rng: &mut Rng, case_size: usize) -> FuzzConfig {
     };
     // Radix shape: mostly sane two-pass totals, with both clamps (a single
     // 1-bit pass; a 24-bit total) represented — the heavyweight 24-bit
-    // fan-out only on small inputs, where its memory cost is the point.
+    // fan-out only on small inputs, where its memory cost is the point —
+    // and the default, derived from |R|.
     cfg.radix_bits = match rng.below(16) {
         0 => vec![1],
         1 if small(case_size) => vec![12, 12],
         2 => vec![2, 2, 2],
-        3..=6 => vec![1 + rng.below(6) as u32],
+        3..=5 => vec![1 + rng.below(6) as u32],
+        6 => Vec::new(),
         _ => {
             let total = 2 + rng.below(13) as u32;
             vec![total / 2, total - total / 2]

@@ -119,10 +119,10 @@ pub struct FuzzConfig {
     /// CPU worker threads.
     pub threads: usize,
     /// Radix bits per pass (CPU side; the GPU derives its own unless
-    /// overridden).
+    /// overridden). Empty runs the radix the CPU derives from |R|.
     pub radix_bits: Vec<u32>,
     /// Take partition bits straight from the raw key ([`RadixMode::Raw`])
-    /// instead of mixing first.
+    /// instead of mixing first (a pinned radix only).
     pub raw_radix: bool,
     /// Mutex scheduler instead of work stealing.
     pub mutex_scheduler: bool,
@@ -205,14 +205,14 @@ impl FuzzConfig {
     pub fn to_cpu_config(&self) -> CpuJoinConfig {
         let mut cfg = CpuJoinConfig {
             threads: self.threads,
-            radix: RadixConfig {
+            radix: (!self.radix_bits.is_empty()).then(|| RadixConfig {
                 bits_per_pass: self.radix_bits.clone(),
                 mode: if self.raw_radix {
                     RadixMode::Raw
                 } else {
                     RadixMode::Mixed
                 },
-            },
+            }),
             split_factor: self.split_factor,
             extra_pass_bits: self.extra_pass_bits,
             scheduler: if self.mutex_scheduler {

@@ -26,7 +26,7 @@ fn main() {
         workload.expected_join_output()
     );
 
-    let cfg = JoinConfig::from(CpuJoinConfig::sized_for(tuples, 2048));
+    let cfg = JoinConfig::default();
     let mut table = ComparisonTable::new();
     for algo in [CpuAlgorithm::Cbase, CpuAlgorithm::Csh] {
         let stats = skewjoin::run_join(

@@ -19,7 +19,7 @@ fn main() {
         .unwrap_or(1 << 15);
 
     let cfg = JoinConfig {
-        cpu: CpuJoinConfig::sized_for(cpu_tuples, 2048),
+        cpu: CpuJoinConfig::default(),
         gpu: GpuJoinConfig::default(),
     };
 

@@ -68,12 +68,12 @@ fn agreement_across_radix_configs() {
     let w = PaperWorkload::generate(WorkloadSpec::paper(2048, 0.7, 99));
     for bits in [2, 6, 10] {
         let mut cfg = CpuJoinConfig::with_threads(4);
-        cfg.radix = RadixConfig::two_pass(bits);
+        cfg.radix = Some(RadixConfig::two_pass(bits));
         check_all(&w.r, &w.s, &cfg, &format!("bits={bits}"));
     }
     // Single-pass radix.
     let mut cfg = CpuJoinConfig::with_threads(4);
-    cfg.radix = RadixConfig::single_pass(5);
+    cfg.radix = Some(RadixConfig::single_pass(5));
     check_all(&w.r, &w.s, &cfg, "single-pass");
 }
 

@@ -515,7 +515,8 @@ mod injected {
 
     #[test]
     fn spill_write_fault_at_recursion_depth_one_is_typed_and_leak_free() {
-        use skewjoin::common::hash::{mix32, radix_pass};
+        use skewjoin::common::hash::radix_pass;
+        use skewjoin::cpu::spill::spill_hash;
         use skewjoin::cpu::CpuJoinConfig;
 
         let _guard = lock();
@@ -529,7 +530,7 @@ mod injected {
         // budget, so it is re-partitioned from its run files at depth 1.
         let keys_in = |pid: usize, n: usize| -> Vec<u32> {
             (0u32..)
-                .filter(|&k| radix_pass(mix32(k), 0, bits) == pid)
+                .filter(|&k| radix_pass(spill_hash(k), 0, bits) == pid)
                 .take(n)
                 .collect()
         };

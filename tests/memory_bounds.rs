@@ -9,9 +9,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use skewjoin::common::hash::{mix32, radix_pass};
+use skewjoin::common::hash::radix_pass;
 use skewjoin::common::trace::counter;
 use skewjoin::common::{JoinStats, Relation, Tuple};
+use skewjoin::cpu::spill::spill_hash;
 use skewjoin::cpu::{SpillConfig, MIN_SPILL_BUDGET};
 use skewjoin::datagen::{PaperWorkload, WorkloadSpec, ZipfWorkload};
 use skewjoin::{
@@ -210,7 +211,7 @@ fn check_spilled_shapes(failures: &mut Vec<String>) {
     // recursion level: the pair is still over budget at `max_recursion`
     // and takes the same block decomposition.
     let twin = (1u32..)
-        .find(|&k| radix_pass(mix32(k), 0, 2) == radix_pass(mix32(0), 0, 2))
+        .find(|&k| radix_pass(spill_hash(k), 0, 2) == radix_pass(spill_hash(0), 0, 2))
         .unwrap();
     let keys: Vec<u32> = (0..6000u32)
         .map(|i| if i % 2 == 0 { 0 } else { twin })

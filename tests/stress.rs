@@ -11,7 +11,7 @@ use skewjoin::prelude::*;
 #[ignore = "minutes of runtime; run explicitly with --ignored"]
 fn cpu_agreement_at_2m_tuples() {
     let w = PaperWorkload::generate(WorkloadSpec::paper(1 << 21, 0.9, 42));
-    let cfg = JoinConfig::from(CpuJoinConfig::sized_for(1 << 21, 2048));
+    let cfg = JoinConfig::default();
     let cbase = skewjoin::run_join(
         Algorithm::Cpu(CpuAlgorithm::Cbase),
         &w.r,
