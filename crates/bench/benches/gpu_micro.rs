@@ -3,36 +3,25 @@
 //! simulated-cycle outputs reported by the reproduction binaries; they
 //! guard against regressions in the simulator's own overhead.
 
-use skewjoin::common::hash::RadixConfig;
 use skewjoin::gpu::backend::SimBackend;
 use skewjoin::gpu::pack::upload_relation;
-use skewjoin::gpu::partition::{gpu_partition, PartitionStyle};
+use skewjoin::gpu::partition::gpu_partition;
 use skewjoin::prelude::*;
 use skewjoin_bench::micro::{bench, black_box, group};
 
 fn bench_gpu_partition() {
     group("gpu_partition_sim");
-    let w = PaperWorkload::generate(WorkloadSpec::paper(1 << 15, 0.5, 1));
-    for (name, style) in [
-        ("count_scatter", PartitionStyle::CountScatter),
-        (
-            "linked_buckets",
-            PartitionStyle::LinkedBuckets {
-                bucket_capacity: 512,
-            },
-        ),
-    ] {
-        bench(name, 5, || {
+    // The A100 style crossover lies between 2^15 tuples (counted first)
+    // and 2^16 (linked buckets); one size on each side.
+    let cfg = GpuJoinConfig::default();
+    for tuples in [1usize << 15, 1 << 16] {
+        let w = PaperWorkload::generate(WorkloadSpec::paper(tuples, 0.5, 1));
+        let radix = cfg.derived_radix(tuples);
+        bench(&format!("2^{}", tuples.trailing_zeros()), 5, || {
             let mut dev = SimBackend::new(DeviceSpec::a100());
             let buf = upload_relation(&mut dev, &w.r, "table R").unwrap();
-            gpu_partition(
-                &mut dev,
-                black_box(buf),
-                &RadixConfig::two_pass(8),
-                style,
-                256,
-            )
-            .expect("partition failed")
+            gpu_partition(&mut dev, black_box(buf), &radix, cfg.block_dim)
+                .expect("partition failed")
         });
     }
 }

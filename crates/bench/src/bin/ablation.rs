@@ -7,8 +7,6 @@
 //!    skew handling helps before the single-key wall.
 //! 5. **Radix fan-out** — partition/join balance around the derived
 //!    radix, one pass against two.
-//! 6. **Gbase bucket capacity** — allocation granularity of its dynamic
-//!    partitioning.
 //! 8. **SM count** — GSH's speedup over Gbase as the device widens.
 //!
 //! The run exits 1 when the GSH sections measured no skew handling: no
@@ -134,22 +132,6 @@ fn main() {
             println!("{layout:>6} {:>12} {:>12}", fmt_time(part), fmt_time(join));
             record.push(&format!("cbase_bits_{layout}"), 0.5, s.total_time());
         }
-    }
-
-    // ---- 6. Gbase bucket capacity (zipf 0.5, simulated). ----
-    let gmid = PaperWorkload::generate(WorkloadSpec::paper(args.gpu_tuples, 0.5, args.seed));
-    println!("\n[6] Gbase bucket capacity @ zipf 0.5 (simulated)");
-    println!("{:>10} {:>12}", "capacity", "partition");
-    for cap in [128usize, 512, 2048] {
-        let mut cfg = GpuJoinConfig::default();
-        cfg.bucket_capacity = cap;
-        let s = run_gpu(GpuAlgorithm::Gbase, &gmid.r, &gmid.s, &cfg);
-        println!("{:>10} {:>12}", cap, fmt_time(s.phases.get("partition")));
-        record.push(
-            &format!("gbase_bucket_{cap}"),
-            0.5,
-            s.phases.get("partition"),
-        );
     }
 
     // ---- 8. GSH speedup vs SM count (zipf 1.0, simulated). ----

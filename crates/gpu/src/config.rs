@@ -44,9 +44,6 @@ pub struct GpuJoinConfig {
     pub table_capacity: Option<usize>,
     /// GSH skew parameters.
     pub skew: GpuSkewConfig,
-    /// Gbase's linked-bucket size in tuples (allocation granularity of its
-    /// dynamic partition buffers).
-    pub bucket_capacity: usize,
     /// Which [`GpuBackend`](crate::backend::GpuBackend) executes the
     /// kernels: the simulator (default) or host execution.
     pub backend: GpuBackendKind,
@@ -60,7 +57,6 @@ impl Default for GpuJoinConfig {
             radix: None,
             table_capacity: None,
             skew: GpuSkewConfig::default(),
-            bucket_capacity: 512,
             backend: GpuBackendKind::default(),
         }
     }
@@ -109,11 +105,6 @@ impl GpuJoinConfig {
         }
         if self.skew.top_k == 0 {
             return Err(JoinError::InvalidConfig("top_k must be ≥ 1".into()));
-        }
-        if self.bucket_capacity == 0 {
-            return Err(JoinError::InvalidConfig(
-                "bucket_capacity must be ≥ 1".into(),
-            ));
         }
         if let Some(capacity) = self.table_capacity {
             // A zero capacity would make the NM sub-list decomposition spin

@@ -1,25 +1,31 @@
 //! **Gbase** — the baseline GPU partitioned hash join (Sioulas et al., the
-//! paper's \[24\]), end to end on the simulator.
+//! paper's \[24\]), end to end on a [`GpuBackend`](crate::GpuBackend).
+//! GSH runs the same code.
 //!
-//! Partition phase: two radix passes in the linked-bucket style (single
-//! scan per pass, atomic bucket cursors, an allocation atomic per bucket
-//! overflow). Join phase: one thread block per (R sub-list, S partition)
+//! Partition phase: both tables through [`gpu_partition`], the one GPU
+//! partitioner. Join phase: one thread block per (R sub-list, S partition)
 //! pair — oversized R partitions are decomposed into sub-lists of at most
 //! the shared-memory table capacity, each of which probes the *full* S
 //! partition, with the write-bitmap output protocol synchronizing the block
 //! on every chain step. These are precisely the skew pathologies §III
 //! quantifies.
+//!
+//! GSH is this join plus a skew phase ([`crate::gsh`]): for GSH the
+//! join runs its detect and split between the two phases and its skew
+//! join after them. Without a large partition GSH launches no skew
+//! kernel and costs exactly what Gbase costs.
 
-use std::time::Instant;
+use std::collections::HashSet;
 
 use skewjoin_common::trace::counter;
-use skewjoin_common::{JoinError, JoinStats, Relation, SinkFactory};
+use skewjoin_common::{JoinError, JoinStats, OutputSink, Relation, SinkFactory};
 
 use crate::config::GpuJoinConfig;
-use crate::nmjoin::{build_nm_tasks, NmJoinKernel};
+use crate::gsh::{detect_and_split, skew_join};
+use crate::nmjoin::{build_nm_tasks, NmJoinKernel, NmTask};
 use crate::pack::upload_relation;
-use crate::partition::{gpu_partition, PartitionStyle};
-use crate::{aggregate_sinks, record_launches, GpuJoinOutcome};
+use crate::partition::gpu_partition;
+use crate::{aggregate_sinks, record_phase, GpuJoinOutcome};
 
 /// Runs the Gbase join on a fresh backend selected by `cfg.backend`
 /// (the simulator by default). `factory` builds the per-SM-slot output
@@ -33,33 +39,41 @@ pub fn gbase_join<F: SinkFactory>(
     cfg: &GpuJoinConfig,
     factory: F,
 ) -> Result<GpuJoinOutcome<F::Sink>, JoinError> {
+    partitioned_join(r, s, cfg, factory, false)
+}
+
+/// Both GPU joins: upload, partition, NM join and stats, with GSH's
+/// detect, split and skew-join phases when `skew_phase`.
+pub(crate) fn partitioned_join<F: SinkFactory>(
+    r: &Relation,
+    s: &Relation,
+    cfg: &GpuJoinConfig,
+    factory: F,
+    skew_phase: bool,
+) -> Result<GpuJoinOutcome<F::Sink>, JoinError> {
     cfg.validate()?;
     let mut backend = cfg.backend.create(&cfg.spec)?;
     let backend = backend.as_mut();
-    let mut stats = JoinStats::new("Gbase");
+    let (name, join_phase, join_kernel) = if skew_phase {
+        ("GSH", "nm_join", "gsh_nm_join")
+    } else {
+        ("Gbase", "join", "gbase_join")
+    };
+    let mut stats = JoinStats::new(name);
 
     let r_buf = upload_relation(backend, r, "table R")?;
     let s_buf = upload_relation(backend, s, "table S")?;
 
     let radix = cfg.derived_radix(r.len().max(s.len()).max(1));
     let capacity = cfg.derived_table_capacity();
-    let style = PartitionStyle::LinkedBuckets {
-        bucket_capacity: cfg.bucket_capacity,
-    };
 
     // ---- Partition phase (simulated time). ----
     let c0 = backend.total_cycles();
     let l0 = backend.launch_log().len();
-    let parted_r = gpu_partition(backend, r_buf, &radix, style, cfg.block_dim)?;
-    let parted_s = gpu_partition(backend, s_buf, &radix, style, cfg.block_dim)?;
-    stats.phases.record(
-        "partition",
-        backend
-            .spec()
-            .cycles_to_duration(backend.total_cycles() - c0),
-    );
+    let parted_r = gpu_partition(backend, r_buf, &radix, cfg.block_dim)?;
+    let parted_s = gpu_partition(backend, s_buf, &radix, cfg.block_dim)?;
+    record_phase(backend, &mut stats, "partition", c0, l0);
     stats.partitions = parted_r.partitions();
-    record_launches(&mut stats.trace, "partition", &backend.launch_log()[l0..]);
     stats
         .trace
         .set("partition", counter::TUPLES_IN, (r.len() + s.len()) as u64);
@@ -75,47 +89,64 @@ pub fn gbase_join<F: SinkFactory>(
         parted_r.partitions() as u64,
     );
 
-    // ---- Join phase: sub-list decomposition + write-bitmap probe. ----
+    // ---- GSH: detect skewed keys, split their partitions. ----
+    let splits = if skew_phase {
+        detect_and_split(backend, &parted_r, &parted_s, cfg, &mut stats)?
+    } else {
+        Vec::new()
+    };
+
+    // ---- Join phase: every partition pair, a split one by its normal
+    // residues; sub-list decomposition + write-bitmap probe. ----
     let c1 = backend.total_cycles();
     let l1 = backend.launch_log().len();
-    let host_t = Instant::now();
-    let tasks = build_nm_tasks(
-        parted_r.buf,
-        &parted_r.starts,
-        parted_s.buf,
-        &parted_s.starts,
-        capacity,
-    );
+    let split_pids: HashSet<usize> = splits.iter().map(|(rs, _)| rs.pid).collect();
+    let partition_pairs = (0..parted_r.partitions())
+        .filter(|pid| !split_pids.contains(pid))
+        .map(|pid| NmTask {
+            r_buf: parted_r.buf,
+            r_range: parted_r.range(pid),
+            s_buf: parted_s.buf,
+            s_range: parted_s.range(pid),
+        });
+    let residue_pairs = splits.iter().map(|(rs, ss)| NmTask {
+        r_buf: rs.norm_buf,
+        r_range: 0..rs.norm_len,
+        s_buf: ss.norm_buf,
+        s_range: 0..ss.norm_len,
+    });
+    let tasks = build_nm_tasks(partition_pairs.chain(residue_pairs), capacity);
     let mut sinks: Vec<F::Sink> = (0..backend.spec().num_sms)
         .map(|slot| factory.make_sink(slot))
         .collect();
     if !tasks.is_empty() {
         let mut kernel = NmJoinKernel::new(&tasks, &mut sinks);
-        backend.launch("gbase_join", tasks.len(), cfg.block_dim, &mut kernel)?;
+        backend.launch(join_kernel, tasks.len(), cfg.block_dim, &mut kernel)?;
     }
-    stats.phases.record(
-        "join",
-        backend
-            .spec()
-            .cycles_to_duration(backend.total_cycles() - c1),
-    );
-    // Host-side simulation time is not part of the model; drop it.
-    let _ = host_t.elapsed();
-    record_launches(&mut stats.trace, "join", &backend.launch_log()[l1..]);
+    record_phase(backend, &mut stats, join_phase, c1, l1);
+    let nm_results: u64 = sinks.iter().map(|s| s.count()).sum();
     stats
         .trace
-        .set("join", counter::TASKS_RUN, tasks.len() as u64);
+        .set(join_phase, counter::TASKS_RUN, tasks.len() as u64);
     let build: usize = tasks.iter().map(|t| t.r_range.len()).sum();
     let probe: usize = tasks.iter().map(|t| t.s_range.len()).sum();
-    stats.trace.set("join", counter::BUILD_TUPLES, build as u64);
-    stats.trace.set("join", counter::PROBE_TUPLES, probe as u64);
+    stats
+        .trace
+        .set(join_phase, counter::BUILD_TUPLES, build as u64);
+    stats
+        .trace
+        .set(join_phase, counter::PROBE_TUPLES, probe as u64);
+    stats.trace.set(join_phase, counter::RESULTS, nm_results);
+
+    // ---- GSH: one thread block per skewed R tuple. ----
+    if skew_phase {
+        skew_join(backend, &splits, cfg, &mut sinks, &mut stats)?;
+    }
 
     stats.simulated_cycles = backend.total_cycles();
     let timeline = backend.render_timeline();
     aggregate_sinks(&mut stats, &sinks);
-    stats
-        .trace
-        .set("join", counter::RESULTS, stats.result_count);
+    stats.skew_path_results = stats.result_count - nm_results;
     Ok(GpuJoinOutcome {
         stats,
         sinks,

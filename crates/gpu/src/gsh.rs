@@ -1,35 +1,37 @@
-//! **GSH** — the paper's GPU Skew-conscious Hash join (§IV-B), end to end
-//! on the simulator.
+//! **GSH** — the paper's GPU Skew-conscious Hash join (§IV-B): Gbase's
+//! partitioned join ([`crate::gbase`]) plus a skew phase.
 //!
 //! Phases (simulated device time recorded per phase):
 //!
-//! 1. `partition` — two-pass count-then-scatter radix partitioning of both
-//!    tables.
+//! 1. `partition` — both tables through the one GPU partitioner, as in
+//!    Gbase.
 //! 2. `detect` — for every *large* R partition (larger than the
 //!    shared-memory table capacity), sample ~1 % of its tuples into a
 //!    linear-probing table and mark the top-k (k = 3) most frequent keys as
 //!    skewed.
-//! 3. `split` — divide each large partition (both R and S sides) into
-//!    per-skewed-key arrays plus a normal residue.
-//! 4. `nm_join` — join all normal partitions/residues with the same kernel
-//!    as Gbase's normal path.
+//! 3. `split` — divide each large partition with skewed keys (both R and S
+//!    sides) into per-skewed-key arrays plus a normal residue.
+//! 4. `nm_join` — Gbase's join phase over the unsplit partition pairs and
+//!    the residues.
 //! 5. `skew_join` — one thread block per skewed R tuple streams the
 //!    matching skewed S array with coalesced reads/writes and no
 //!    synchronization.
 //!
-//! At zipf ≤ 0.4 no partition is large, phases 2–3 and 5 are no-ops, and
-//! GSH degenerates to a Gbase-like partitioned join — exactly the paper's
-//! observation that the two are comparable at low skew.
+//! At zipf ≤ 0.4 no partition is large, phases 2–3 and 5 launch nothing,
+//! and GSH runs exactly Gbase's kernels: the paper's observation that the
+//! two are comparable at low skew, here cycle for cycle.
 
 use skewjoin_common::trace::counter;
 use skewjoin_common::{JoinError, JoinStats, OutputSink, Relation, SinkFactory};
 
+use crate::backend::GpuBackend;
 use crate::config::GpuJoinConfig;
-use crate::nmjoin::{NmJoinKernel, NmTask};
-use crate::pack::upload_relation;
-use crate::partition::{gpu_partition, PartitionStyle};
-use crate::skew::{detect_skew, split_large_partition, SkewJoinKernel, SkewOutputTask};
-use crate::{aggregate_sinks, record_launches, GpuJoinOutcome};
+use crate::gbase::partitioned_join;
+use crate::partition::DevicePartitioned;
+use crate::skew::{
+    detect_skew, split_large_partition, SkewJoinKernel, SkewOutputTask, SplitPartition,
+};
+use crate::{record_phase, GpuJoinOutcome};
 
 /// Runs the GSH join on a fresh backend selected by `cfg.backend` (the
 /// simulator by default). `factory` builds the per-SM-slot output sinks;
@@ -56,72 +58,27 @@ pub fn gsh_join<F: SinkFactory>(
     cfg: &GpuJoinConfig,
     factory: F,
 ) -> Result<GpuJoinOutcome<F::Sink>, JoinError> {
-    cfg.validate()?;
-    let mut backend = cfg.backend.create(&cfg.spec)?;
-    let backend = backend.as_mut();
-    let mut stats = JoinStats::new("GSH");
+    partitioned_join(r, s, cfg, factory, true)
+}
 
-    let r_buf = upload_relation(backend, r, "table R")?;
-    let s_buf = upload_relation(backend, s, "table S")?;
-
-    let radix = cfg.derived_radix(r.len().max(s.len()).max(1));
+/// Phases 2 and 3: detects skewed keys in the large R partitions and
+/// splits each such partition, on both sides, by the same key list.
+pub(crate) fn detect_and_split(
+    backend: &mut dyn GpuBackend,
+    parted_r: &DevicePartitioned,
+    parted_s: &DevicePartitioned,
+    cfg: &GpuJoinConfig,
+    stats: &mut JoinStats,
+) -> Result<Vec<(SplitPartition, SplitPartition)>, JoinError> {
     let capacity = cfg.derived_table_capacity();
-
-    // ---- Phase 1: count-then-scatter partitioning. ----
     let c0 = backend.total_cycles();
     let l0 = backend.launch_log().len();
-    let parted_r = gpu_partition(
-        backend,
-        r_buf,
-        &radix,
-        PartitionStyle::CountScatter,
-        cfg.block_dim,
-    )?;
-    let parted_s = gpu_partition(
-        backend,
-        s_buf,
-        &radix,
-        PartitionStyle::CountScatter,
-        cfg.block_dim,
-    )?;
-    stats.phases.record(
-        "partition",
-        backend
-            .spec()
-            .cycles_to_duration(backend.total_cycles() - c0),
-    );
-    stats.partitions = parted_r.partitions();
-    record_launches(&mut stats.trace, "partition", &backend.launch_log()[l0..]);
-    stats
-        .trace
-        .set("partition", counter::TUPLES_IN, (r.len() + s.len()) as u64);
-    let parted_out: usize = (0..parted_r.partitions())
-        .map(|p| parted_r.size(p) + parted_s.size(p))
-        .sum();
-    stats
-        .trace
-        .set("partition", counter::TUPLES_OUT, parted_out as u64);
-    stats.trace.set(
-        "partition",
-        counter::PARTITIONS,
-        parted_r.partitions() as u64,
-    );
-
-    // ---- Phase 2: detect skewed keys in large partitions. ----
-    let c1 = backend.total_cycles();
-    let l1 = backend.launch_log().len();
     let large_pids: Vec<usize> = (0..parted_r.partitions())
         .filter(|&p| parted_r.size(p) > capacity)
         .collect();
-    let detected = detect_skew(backend, &parted_r, &large_pids, &cfg.skew, cfg.block_dim)?;
-    stats.phases.record(
-        "detect",
-        backend
-            .spec()
-            .cycles_to_duration(backend.total_cycles() - c1),
-    );
+    let detected = detect_skew(backend, parted_r, &large_pids, &cfg.skew, cfg.block_dim)?;
+    record_phase(backend, stats, "detect", c0, l0);
     stats.skewed_keys_detected = detected.iter().map(|d| d.keys.len()).sum();
-    record_launches(&mut stats.trace, "detect", &backend.launch_log()[l1..]);
     stats.trace.set(
         "detect",
         counter::SKEWED_KEYS,
@@ -133,9 +90,8 @@ pub fn gsh_join<F: SinkFactory>(
         }
     }
 
-    // ---- Phase 3: split large partitions (both sides, same key lists). ----
-    let c2 = backend.total_cycles();
-    let l2 = backend.launch_log().len();
+    let c1 = backend.total_cycles();
+    let l1 = backend.launch_log().len();
     let mut splits = Vec::new();
     for d in &detected {
         if d.keys.is_empty() {
@@ -143,7 +99,7 @@ pub fn gsh_join<F: SinkFactory>(
         }
         let r_split = split_large_partition(
             backend,
-            &parted_r,
+            parted_r,
             d.pid,
             &d.keys,
             cfg.block_dim,
@@ -151,7 +107,7 @@ pub fn gsh_join<F: SinkFactory>(
         )?;
         let s_split = split_large_partition(
             backend,
-            &parted_s,
+            parted_s,
             d.pid,
             &d.keys,
             cfg.block_dim,
@@ -159,18 +115,14 @@ pub fn gsh_join<F: SinkFactory>(
         )?;
         splits.push((r_split, s_split));
     }
-    stats.phases.record(
-        "split",
-        backend
-            .spec()
-            .cycles_to_duration(backend.total_cycles() - c2),
-    );
-    record_launches(&mut stats.trace, "split", &backend.launch_log()[l2..]);
-    let split_in: usize = splits.iter().map(|(rs, _)| parted_r.size(rs.pid)).sum();
-    let split_s_in: usize = splits.iter().map(|(_, ss)| parted_s.size(ss.pid)).sum();
+    record_phase(backend, stats, "split", c1, l1);
+    let split_in: usize = splits
+        .iter()
+        .map(|(rs, _)| parted_r.size(rs.pid) + parted_s.size(rs.pid))
+        .sum();
     stats
         .trace
-        .set("split", counter::TUPLES_IN, (split_in + split_s_in) as u64);
+        .set("split", counter::TUPLES_IN, split_in as u64);
     let split_out: usize = splits
         .iter()
         .map(|(rs, ss)| {
@@ -183,70 +135,23 @@ pub fn gsh_join<F: SinkFactory>(
     stats
         .trace
         .set("split", counter::TUPLES_OUT, split_out as u64);
+    Ok(splits)
+}
 
-    // ---- Phase 4: NM-join over normal partitions and residues. ----
-    let c3 = backend.total_cycles();
-    let l3 = backend.launch_log().len();
-    let split_pids: std::collections::HashSet<usize> =
-        splits.iter().map(|(rs, _)| rs.pid).collect();
-    let mut tasks: Vec<NmTask> = Vec::new();
-    for pid in 0..parted_r.partitions() {
-        if split_pids.contains(&pid) {
-            continue;
-        }
-        push_pair_tasks(
-            &mut tasks,
-            parted_r.buf,
-            parted_r.range(pid),
-            parted_s.buf,
-            parted_s.range(pid),
-            capacity,
-        );
-    }
-    for (r_split, s_split) in &splits {
-        push_pair_tasks(
-            &mut tasks,
-            r_split.norm_buf,
-            0..r_split.norm_len,
-            s_split.norm_buf,
-            0..s_split.norm_len,
-            capacity,
-        );
-    }
-    tasks.sort_by_key(|t| std::cmp::Reverse(t.r_range.len() + t.s_range.len()));
-    let mut sinks: Vec<F::Sink> = (0..backend.spec().num_sms)
-        .map(|slot| factory.make_sink(slot))
-        .collect();
-    if !tasks.is_empty() {
-        let mut kernel = NmJoinKernel::new(&tasks, &mut sinks);
-        backend.launch("gsh_nm_join", tasks.len(), cfg.block_dim, &mut kernel)?;
-    }
-    stats.phases.record(
-        "nm_join",
-        backend
-            .spec()
-            .cycles_to_duration(backend.total_cycles() - c3),
-    );
-    let nm_results: u64 = sinks.iter().map(|s| s.count()).sum();
-    record_launches(&mut stats.trace, "nm_join", &backend.launch_log()[l3..]);
-    stats
-        .trace
-        .set("nm_join", counter::TASKS_RUN, tasks.len() as u64);
-    let build: usize = tasks.iter().map(|t| t.r_range.len()).sum();
-    let probe: usize = tasks.iter().map(|t| t.s_range.len()).sum();
-    stats
-        .trace
-        .set("nm_join", counter::BUILD_TUPLES, build as u64);
-    stats
-        .trace
-        .set("nm_join", counter::PROBE_TUPLES, probe as u64);
-    stats.trace.set("nm_join", counter::RESULTS, nm_results);
-
-    // ---- Phase 5: dedicated skew output (one block per skewed R tuple). ----
-    let c4 = backend.total_cycles();
-    let l4 = backend.launch_log().len();
-    let mut skew_tasks: Vec<SkewOutputTask> = Vec::new();
-    for (r_split, s_split) in &splits {
+/// Phase 5: one thread block per skewed R tuple, streaming the matching
+/// skewed S array into `sinks`.
+pub(crate) fn skew_join<S: OutputSink>(
+    backend: &mut dyn GpuBackend,
+    splits: &[(SplitPartition, SplitPartition)],
+    cfg: &GpuJoinConfig,
+    sinks: &mut [S],
+    stats: &mut JoinStats,
+) -> Result<(), JoinError> {
+    let c0 = backend.total_cycles();
+    let l0 = backend.launch_log().len();
+    let results_before: u64 = sinks.iter().map(|s| s.count()).sum();
+    let mut tasks: Vec<SkewOutputTask> = Vec::new();
+    for (r_split, s_split) in splits {
         for (ki, &key) in r_split.keys.iter().enumerate() {
             let r_lo = r_split.skew_starts[ki];
             let r_hi = r_split.skew_starts[ki + 1];
@@ -256,7 +161,7 @@ pub fn gsh_join<F: SinkFactory>(
                 continue;
             }
             for i in r_lo..r_hi {
-                skew_tasks.push(SkewOutputTask {
+                tasks.push(SkewOutputTask {
                     key,
                     r_word: backend.host_read(r_split.skew_buf, i),
                     s_buf: s_split.skew_buf,
@@ -265,67 +170,22 @@ pub fn gsh_join<F: SinkFactory>(
             }
         }
     }
-    if !skew_tasks.is_empty() {
+    if !tasks.is_empty() {
         let mut kernel = SkewJoinKernel {
-            tasks: &skew_tasks,
-            sinks: &mut sinks,
+            tasks: &tasks,
+            sinks,
         };
-        backend.launch(
-            "gsh_skew_join",
-            skew_tasks.len(),
-            cfg.block_dim,
-            &mut kernel,
-        )?;
+        backend.launch("gsh_skew_join", tasks.len(), cfg.block_dim, &mut kernel)?;
     }
-    stats.phases.record(
-        "skew_join",
-        backend
-            .spec()
-            .cycles_to_duration(backend.total_cycles() - c4),
-    );
-    record_launches(&mut stats.trace, "skew_join", &backend.launch_log()[l4..]);
+    record_phase(backend, stats, "skew_join", c0, l0);
     stats
         .trace
-        .set("skew_join", counter::TASKS_RUN, skew_tasks.len() as u64);
-
-    stats.simulated_cycles = backend.total_cycles();
-    let timeline = backend.render_timeline();
-    aggregate_sinks(&mut stats, &sinks);
-    stats.skew_path_results = stats.result_count - nm_results;
+        .set("skew_join", counter::TASKS_RUN, tasks.len() as u64);
+    let results: u64 = sinks.iter().map(|s| s.count()).sum();
     stats
         .trace
-        .set("skew_join", counter::RESULTS, stats.skew_path_results);
-    Ok(GpuJoinOutcome {
-        stats,
-        sinks,
-        timeline,
-    })
-}
-
-/// Adds NM tasks for one (R range, S range) pair, chunking the R side to
-/// the table capacity.
-fn push_pair_tasks(
-    tasks: &mut Vec<NmTask>,
-    r_buf: skewjoin_gpu_sim::BufferId,
-    r_range: std::ops::Range<usize>,
-    s_buf: skewjoin_gpu_sim::BufferId,
-    s_range: std::ops::Range<usize>,
-    capacity: usize,
-) {
-    if r_range.is_empty() || s_range.is_empty() {
-        return;
-    }
-    let mut sub = r_range.start;
-    while sub < r_range.end {
-        let sub_end = (sub + capacity).min(r_range.end);
-        tasks.push(NmTask {
-            r_buf,
-            r_range: sub..sub_end,
-            s_buf,
-            s_range: s_range.clone(),
-        });
-        sub = sub_end;
-    }
+        .set("skew_join", counter::RESULTS, results - results_before);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -433,6 +293,40 @@ mod tests {
             gbase.stats.simulated_cycles,
             gsh.stats.simulated_cycles
         );
+    }
+
+    #[test]
+    fn gsh_without_large_partitions_is_gbase() {
+        // No partition outgrows the table: GSH launches no skew kernel and
+        // runs Gbase's kernels, so the simulated cycles tie exactly.
+        use crate::backend::GpuBackendKind;
+        for (tuples, zipf) in [(1 << 12, 0.0), (1 << 18, 0.0), (1 << 12, 0.5)] {
+            let w = PaperWorkload::generate(WorkloadSpec::paper(tuples, zipf, 59));
+            for backend in [GpuBackendKind::Sim, GpuBackendKind::Host] {
+                let cfg = GpuJoinConfig {
+                    backend,
+                    ..GpuJoinConfig::default()
+                };
+                let gsh = gsh_join(&w.r, &w.s, &cfg, |_| CountingSink::new()).unwrap();
+                let gbase =
+                    crate::gbase::gbase_join(&w.r, &w.s, &cfg, |_| CountingSink::new()).unwrap();
+                let (gsh, gbase) = (gsh.stats, gbase.stats);
+                let case = format!("2^{} θ{zipf} on {backend}", tuples.trailing_zeros());
+                assert_eq!(gsh.result_count, gbase.result_count, "{case}");
+                assert_eq!(gsh.checksum, gbase.checksum, "{case}");
+                if backend == GpuBackendKind::Sim {
+                    assert_eq!(
+                        gsh.trace.get("detect", counter::KERNEL_LAUNCHES),
+                        None,
+                        "{case}"
+                    );
+                    let partition =
+                        |s: &JoinStats| s.trace.get("partition", counter::DEVICE_CYCLES);
+                    assert_eq!(partition(&gsh), partition(&gbase), "{case}");
+                    assert_eq!(gsh.simulated_cycles, gbase.simulated_cycles, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! pair through a chained hash table in shared memory, producing output via
 //! Gbase's write-bitmap protocol (§II-B, §III).
 //!
-//! The same kernel serves both algorithms:
-//! * **Gbase** decomposes an oversized R partition into sub-lists of at most
-//!   `table_capacity` tuples; *every* sub-list re-probes the full S
-//!   partition (its documented inefficiency).
-//! * **GSH**'s NM-join runs it on normal partitions, which fit the table by
-//!   construction after skew removal.
+//! Both joins run it on the tasks [`build_nm_tasks`] makes from (R range,
+//! S range) pairs. Gbase passes every partition pair; GSH passes the same
+//! pairs but replaces each split partition's with its normal residues. An R
+//! range larger than `table_capacity` becomes sub-lists, and *every*
+//! sub-list re-probes the full S range: Gbase's documented inefficiency,
+//! which GSH's skew phase removes for the keys it detects.
 //!
 //! Cost model per probe batch (block_dim S tuples, chain walk in lockstep
 //! because the write bitmap forces a block-wide `__syncthreads` per chain
@@ -21,6 +21,7 @@ use skewjoin_common::OutputSink;
 use skewjoin_gpu_sim::BufferId;
 
 use crate::backend::{BlockOps, DeviceKernel};
+use crate::lane_collisions;
 use crate::pack::{key_of, payload_of};
 
 /// One NM-join task: an R sub-list and the S partition it probes.
@@ -47,6 +48,10 @@ pub struct NmJoinKernel<'a, S> {
     pub sinks: &'a mut [S],
     scratch_idx: Vec<usize>,
     scratch_vals: Vec<u64>,
+    /// Bucket of each lane, and the per-bucket lane counts
+    /// [`lane_collisions`] keeps.
+    lanes: Vec<usize>,
+    lane_counts: Vec<u16>,
 }
 
 impl<'a, S: OutputSink> NmJoinKernel<'a, S> {
@@ -57,6 +62,8 @@ impl<'a, S: OutputSink> NmJoinKernel<'a, S> {
             sinks,
             scratch_idx: Vec::new(),
             scratch_vals: Vec::new(),
+            lanes: Vec::new(),
+            lane_counts: Vec::new(),
         }
     }
 }
@@ -81,6 +88,9 @@ impl<S: OutputSink> DeviceKernel for NmJoinKernel<'_, S> {
         let mut heads = vec![u32::MAX; buckets];
         let mut next = vec![u32::MAX; r_len];
         let mut r_words = Vec::with_capacity(r_len);
+        if self.lane_counts.len() < buckets {
+            self.lane_counts = vec![0; buckets];
+        }
 
         let warp = ctx.warp_size();
         let mut i = task.r_range.start;
@@ -93,24 +103,17 @@ impl<S: OutputSink> DeviceKernel for NmJoinKernel<'_, S> {
 
             // Per-warp shared traffic: store tuple + link, bump bucket head
             // atomically (serialization = same-bucket lanes in this warp).
-            let mut max_dup = 1u64;
-            let mut seen: Vec<(usize, u64)> = Vec::new();
+            self.lanes.clear();
             for &w in &self.scratch_vals {
                 let local = r_words.len() as u32;
                 let b = table_hash(key_of(w), bits);
-                match seen.iter_mut().find(|(q, _)| *q == b) {
-                    Some((_, c)) => {
-                        *c += 1;
-                        max_dup = max_dup.max(*c);
-                    }
-                    None => seen.push((b, 1)),
-                }
+                self.lanes.push(b);
                 next[local as usize] = heads[b];
                 heads[b] = local;
                 r_words.push(w);
             }
             ctx.charge_shared_accesses(2);
-            ctx.charge_shared_atomics(1, max_dup);
+            ctx.charge_shared_atomics(1, lane_collisions(&mut self.lane_counts, &self.lanes));
             i = hi;
         }
         ctx.syncthreads();
@@ -179,33 +182,26 @@ impl<S: OutputSink> DeviceKernel for NmJoinKernel<'_, S> {
     }
 }
 
-/// Builds the NM task list for matching partition pairs, decomposing R
-/// partitions larger than `table_capacity` into sub-lists (Gbase's skew
-/// technique). Tasks are ordered largest-first so the greedy SM dispatch
-/// starts stragglers early.
+/// Builds the NM task list from (R range, S range) pairs, skipping pairs
+/// with an empty side and decomposing R ranges larger than
+/// `table_capacity` into sub-lists that each probe the whole S range
+/// (Gbase's skew technique). Tasks are ordered largest-first so the greedy
+/// SM dispatch starts stragglers early.
 pub fn build_nm_tasks(
-    r_buf: BufferId,
-    r_starts: &[usize],
-    s_buf: BufferId,
-    s_starts: &[usize],
+    pairs: impl IntoIterator<Item = NmTask>,
     table_capacity: usize,
 ) -> Vec<NmTask> {
-    assert_eq!(r_starts.len(), s_starts.len(), "partition fan-out mismatch");
     let mut tasks = Vec::new();
-    for pid in 0..r_starts.len() - 1 {
-        let (r_lo, r_hi) = (r_starts[pid], r_starts[pid + 1]);
-        let (s_lo, s_hi) = (s_starts[pid], s_starts[pid + 1]);
-        if r_lo == r_hi || s_lo == s_hi {
+    for pair in pairs {
+        if pair.r_range.is_empty() || pair.s_range.is_empty() {
             continue;
         }
-        let mut sub = r_lo;
-        while sub < r_hi {
-            let sub_end = (sub + table_capacity).min(r_hi);
+        let mut sub = pair.r_range.start;
+        while sub < pair.r_range.end {
+            let sub_end = (sub + table_capacity).min(pair.r_range.end);
             tasks.push(NmTask {
-                r_buf,
                 r_range: sub..sub_end,
-                s_buf,
-                s_range: s_lo..s_hi,
+                ..pair.clone()
             });
             sub = sub_end;
         }
@@ -222,14 +218,26 @@ mod tests {
     use skewjoin_common::{CountingSink, Relation, Tuple};
     use skewjoin_gpu_sim::DeviceSpec;
 
+    fn pair(
+        r_buf: BufferId,
+        r_range: std::ops::Range<usize>,
+        s_buf: BufferId,
+        s_range: std::ops::Range<usize>,
+    ) -> NmTask {
+        NmTask {
+            r_buf,
+            r_range,
+            s_buf,
+            s_range,
+        }
+    }
+
     fn run_nm(r: &Relation, s: &Relation, capacity: usize) -> (u64, skewjoin_gpu_sim::Metrics) {
         let mut dev = SimBackend::new(DeviceSpec::tiny(1 << 24));
         let r_buf = upload_relation(&mut dev, r, "table R").unwrap();
         let s_buf = upload_relation(&mut dev, s, "table S").unwrap();
         // Single "partition" covering everything.
-        let r_starts = vec![0, r.len()];
-        let s_starts = vec![0, s.len()];
-        let tasks = build_nm_tasks(r_buf, &r_starts, s_buf, &s_starts, capacity);
+        let tasks = build_nm_tasks([pair(r_buf, 0..r.len(), s_buf, 0..s.len())], capacity);
         let mut sinks: Vec<CountingSink> = (0..dev.spec().num_sms)
             .map(|_| CountingSink::new())
             .collect();
@@ -259,13 +267,11 @@ mod tests {
 
     #[test]
     fn task_splitting_counts() {
-        let tasks = build_nm_tasks(
+        let (r_buf, s_buf) = (
             BufferId::from_raw_for_tests(0),
-            &[0, 300],
             BufferId::from_raw_for_tests(1),
-            &[0, 100],
-            64,
         );
+        let tasks = build_nm_tasks([pair(r_buf, 0..300, s_buf, 0..100)], 64);
         assert_eq!(tasks.len(), 5); // ceil(300/64)
         assert!(tasks.iter().all(|t| t.s_range == (0..100)));
     }
@@ -312,14 +318,16 @@ mod tests {
 
     #[test]
     fn empty_partitions_produce_no_tasks() {
-        let tasks = build_nm_tasks(
+        let (r_buf, s_buf) = (
             BufferId::from_raw_for_tests(0),
-            &[0, 0, 5],
             BufferId::from_raw_for_tests(1),
-            &[0, 3, 3],
-            64,
         );
-        // pid 0: empty R; pid 1: empty S.
+        let pairs = [
+            pair(r_buf, 0..0, s_buf, 0..3),
+            pair(r_buf, 0..5, s_buf, 3..3),
+        ];
+        let tasks = build_nm_tasks(pairs, 64);
+        // Pair 0: empty R; pair 1: empty S.
         assert!(tasks.is_empty());
     }
 }

@@ -181,8 +181,8 @@ pub struct SplitPartition {
 }
 
 /// Splits partition `pid` of `parted` by `keys` with a count kernel + a
-/// contention-free scatter kernel (the same count-then-scatter discipline
-/// as GSH's partitioning).
+/// contention-free scatter kernel (the partitioner's count-then-scatter
+/// discipline).
 pub fn split_large_partition(
     backend: &mut dyn GpuBackend,
     parted: &DevicePartitioned,
@@ -194,10 +194,9 @@ pub fn split_large_partition(
     let range = parted.range(pid);
 
     // Host mirror for cursor planning (the kernels do the costed work).
-    let words: Vec<u64> = backend.host_slice(parted.buf)[range.clone()].to_vec();
     let mut key_counts = vec![0usize; keys.len()];
     let mut norm_len = 0usize;
-    for &w in &words {
+    for &w in &backend.host_slice(parted.buf)[range.clone()] {
         match keys.iter().position(|&k| k == key_of(w)) {
             Some(i) => key_counts[i] += 1,
             None => norm_len += 1,

@@ -249,7 +249,6 @@ fn draw_config(rng: &mut Rng, case_size: usize) -> FuzzConfig {
     cfg.gpu_block_dim = [32, 64, 256, 256, 1024][rng.below(5)];
     cfg.gpu_sample_rate = [0.01, 0.1, 0.1, 1.0][rng.below(4)];
     cfg.gpu_top_k = [1, 3, 3, 8][rng.below(4)];
-    cfg.gpu_bucket_capacity = [1, 16, 512, 512][rng.below(4)];
     cfg.tiny_device = case_size <= 16_384 && rng.below(8) == 0;
     // A quarter of the GPU cases execute on the host backend, so every
     // oracle identity doubles as a sim/host differential check.

@@ -151,8 +151,6 @@ pub struct FuzzConfig {
     pub gpu_sample_rate: f64,
     /// GSH top-k skewed keys per large partition.
     pub gpu_top_k: usize,
-    /// Gbase linked-bucket size.
-    pub gpu_bucket_capacity: usize,
     /// In-memory working-set budget (bytes) forcing the CPU joins through
     /// the out-of-core grace-hash spill; `None` keeps them in memory.
     /// Budgets tight relative to the input exercise recursive
@@ -191,7 +189,6 @@ impl Default for FuzzConfig {
             gpu_block_dim: gpu.block_dim,
             gpu_sample_rate: gpu.skew.sample_rate,
             gpu_top_k: gpu.skew.top_k,
-            gpu_bucket_capacity: gpu.bucket_capacity,
             spill_budget: None,
             tiny_device: false,
             gpu_backend_host: false,
@@ -241,7 +238,6 @@ impl FuzzConfig {
         let mut cfg = GpuJoinConfig {
             block_dim: self.gpu_block_dim,
             table_capacity: self.gpu_table_capacity,
-            bucket_capacity: self.gpu_bucket_capacity,
             ..GpuJoinConfig::default()
         };
         if self.tiny_device {
@@ -291,10 +287,6 @@ impl FuzzConfig {
             ("gpu_block_dim", Json::from_u64(self.gpu_block_dim as u64)),
             ("gpu_sample_rate", Json::num(self.gpu_sample_rate)),
             ("gpu_top_k", Json::from_u64(self.gpu_top_k as u64)),
-            (
-                "gpu_bucket_capacity",
-                Json::from_u64(self.gpu_bucket_capacity as u64),
-            ),
             ("tiny_device", Json::Bool(self.tiny_device)),
             ("gpu_backend_host", Json::Bool(self.gpu_backend_host)),
             ("expect_invalid", Json::Bool(self.expect_invalid)),
@@ -366,9 +358,6 @@ impl FuzzConfig {
         }
         if let Some(v) = u("gpu_top_k") {
             cfg.gpu_top_k = v as usize;
-        }
-        if let Some(v) = u("gpu_bucket_capacity") {
-            cfg.gpu_bucket_capacity = v as usize;
         }
         if let Some(v) = b("tiny_device") {
             cfg.tiny_device = v;
@@ -741,8 +730,9 @@ mod tests {
         let back = CorpusEntry::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, CorpusEntry::Join(case.clone()));
 
-        // Entries written while the write-combining scatter knobs existed
-        // still load: unknown config keys are ignored.
+        // Entries written while the write-combining scatter knobs or the
+        // Gbase bucket-capacity knob existed still load: unknown config
+        // keys are ignored.
         let mut json = Json::parse(&text).unwrap();
         let Json::Obj(fields) = &mut json else {
             panic!("case is not an object")
@@ -752,6 +742,7 @@ mod tests {
         };
         config.push(("buffered_scatter".into(), Json::Bool(true)));
         config.push((concat!("wc", "_tuples").into(), Json::from_u64(16)));
+        config.push(("gpu_bucket_capacity".into(), Json::from_u64(16)));
         let old = CorpusEntry::from_json(&json).unwrap();
         assert_eq!(old, CorpusEntry::Join(case));
     }

@@ -139,7 +139,6 @@ pub fn shrink_join(case: &JoinCase, timeout: Duration, mut budget: usize) -> Joi
         try_default!(gpu_block_dim);
         try_default!(gpu_sample_rate);
         try_default!(gpu_top_k);
-        try_default!(gpu_bucket_capacity);
         try_default!(tiny_device);
         try_default!(gpu_backend_host);
         try_default!(spill_budget);
