@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the CPU join building blocks: radix partitioning
 //! (the pipeline's partition phase, R joined against an empty S so no join
-//! task runs), hash table build/probe, skew detection, the sinks' hot-run
+//! task runs), one join task's build and probe, skew detection, the sinks' hot-run
 //! checksum, and the full joins at two skew levels. Prints mean time per
 //! iteration (see `skewjoin_bench::micro`).
 
@@ -56,17 +56,19 @@ fn bench_partitioning() {
 
 fn bench_hash_table() {
     group("cpu_hash_table");
-    let w = PaperWorkload::generate(WorkloadSpec::paper(1 << 14, 0.0, 2));
+    // One join task over a partition of the derived radix's size: build,
+    // probe, and the chain-length counter, as the radix joins run it.
+    let max_bits = CpuJoinConfig::default().max_bucket_bits;
+    for zipf in [0.0, 1.0] {
+        let w = PaperWorkload::generate(WorkloadSpec::paper(4096, zipf, 2));
+        bench(&format!("join_task/{zipf:.1}"), 200, || {
+            let table = ChainedTable::build(black_box(w.r.tuples()), max_bits);
+            let mut sink = CountingSink::new();
+            table.probe_all(black_box(w.s.tuples()), &mut sink);
+            sink.count() + table.max_chain_len() as u64
+        });
+    }
     let skewed = PaperWorkload::generate(WorkloadSpec::paper(1 << 14, 1.0, 2));
-    bench("build_uniform", 20, || {
-        ChainedTable::build(black_box(w.r.tuples()), 22)
-    });
-    let table = ChainedTable::build(w.r.tuples(), 22);
-    bench("probe_uniform", 20, || {
-        let mut sink = CountingSink::new();
-        table.probe_all(black_box(w.s.tuples()), &mut sink);
-        sink.count()
-    });
     // Long chains: the §III pathology, visible as a large per-probe cost.
     let skew_table = ChainedTable::build(skewed.r.tuples(), 22);
     let probes = &skewed.s.tuples()[..256];

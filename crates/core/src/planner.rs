@@ -691,8 +691,8 @@ mod tests {
     fn fit_to_budget_walks_the_ladder_in_order() {
         // At 2^23 tuples CSH derives 11 bits in two passes; narrowing to 9
         // bits takes one pass and drops the refined copy of the input. GSH's
-        // estimate exceeds CSH's by its device build tables, so a budget of
-        // CSH's estimate sends a GSH request to its twin.
+        // estimate lies between the two, so a budget of CSH's 9-bit estimate
+        // sends a GSH request to its twin, which then narrows.
         let n = 1 << 23;
         let mut cfg = JoinConfig::default();
         cfg.cpu.threads = 1;
@@ -705,7 +705,7 @@ mod tests {
         let mut narrowed = cfg.clone();
         narrowed.cpu.radix = Some(RadixConfig::single_pass(9));
         let (b9, b11) = (estimate(csh, &narrowed), estimate(csh, &cfg));
-        assert!(b9 < b11 && b11 < estimate(gsh, &cfg));
+        assert!(b9 < estimate(gsh, &cfg) && estimate(gsh, &cfg) < b11);
         let (big, min) = (1 << 30, MIN_SPILL_BUDGET);
 
         // (case, algorithm, memory budget, disk budget, expected): `Ok` is
@@ -729,15 +729,12 @@ mod tests {
             (
                 "twin",
                 gsh,
-                b11,
+                b9,
                 0,
                 Ok((
                     csh,
-                    11,
-                    Some(|r| {
-                        matches!(r, Rung::CpuTwin { gpu, cpu, cause: TwinCause::Budget { .. } }
-                            if gpu == "GSH" && cpu == "CSH")
-                    }),
+                    9,
+                    Some(|r| matches!(r, Rung::NarrowedRadix { bits: 9, .. })),
                 )),
             ),
             (
@@ -786,6 +783,13 @@ mod tests {
                 (other, _) => panic!("{name}: unexpected {other:?}"),
             }
         }
+        let twin = fit_to_budget(gsh, n, n, &cfg, b9, 0).unwrap();
+        assert!(
+            matches!(&twin.rungs[..], [Rung::CpuTwin { gpu, cpu, cause: TwinCause::Budget { .. } }, _]
+                if gpu == "GSH" && cpu == "CSH"),
+            "twin: {:?}",
+            twin.rungs
+        );
     }
 
     #[test]

@@ -82,18 +82,19 @@ impl CpuAlgorithm {
     /// * **every join** — the input, a fixed allowance (sink slots, trace,
     ///   CSH's hot-key filter), per worker its thread and a scheduler deque
     ///   of `DEQUE_SLOTS` tasks, and the buffers the deques outgrow;
-    /// * **cbase-npj** — one global chained table over R: a 4-byte head per
-    ///   power-of-two bucket and a 4-byte link per R tuple;
+    /// * **cbase-npj** — one global chained table over R: an 8-byte bucket
+    ///   word (head and chain length) per power-of-two bucket and a 4-byte
+    ///   link per R tuple;
     /// * **Cbase / CSH** — under the radix the join runs with (pinned, or
     ///   derived from `r_tuples`): the pipeline's partitioned copy of both
     ///   inputs (two under a multi-pass radix: scratch and refined), the two
     ///   `total_fanout` start arrays, the pass-0 histograms and cursors of
-    ///   every input segment, a build table per final partition (a head per
-    ///   power-of-two bucket and a link per tuple: at most 12 B per R
-    ///   tuple), and deques that hold a pass-0 fan-out of refine tasks per
-    ///   side and a partition's join tasks. Cbase adds one more copy of the
-    ///   input: a join task its skew handling splits is re-partitioned into
-    ///   a fresh buffer.
+    ///   every input segment, a build table per final partition (an 8-byte
+    ///   bucket word per power-of-two bucket and a 4-byte link per tuple: at
+    ///   most 20 B per R tuple), and deques that hold a pass-0 fan-out of
+    ///   refine tasks per side and a partition's join tasks. Cbase adds one
+    ///   more copy of the input: a join task its skew handling splits is
+    ///   re-partitioned into a fresh buffer.
     pub fn footprint(self, r_tuples: usize, s_tuples: usize, cfg: &CpuJoinConfig) -> u64 {
         let (r, s) = (r_tuples as u64, s_tuples as u64);
         let input = (r + s) * TUPLE_BYTES;
@@ -108,7 +109,7 @@ impl CpuAlgorithm {
         let extra = match self {
             CpuAlgorithm::CbaseNpj => {
                 let buckets = 1u64 << bucket_bits_for(r_tuples).min(cfg.max_bucket_bits);
-                4 * buckets + 4 * r + workers(0, npj::TASK_BYTES)
+                8 * buckets + 4 * r + workers(0, npj::TASK_BYTES)
             }
             CpuAlgorithm::Cbase | CpuAlgorithm::Csh => {
                 let radix = cfg.radix_for(r_tuples);
@@ -117,7 +118,7 @@ impl CpuAlgorithm {
                 let starts = 2 * total_fanout * 8;
                 let segments = (r + s).div_ceil(cfg.morsel_tuples.max(1) as u64) + 2;
                 let hists = 2 * segments * fanout0 * 8;
-                let tables = 12 * r;
+                let tables = 20 * r;
                 // Scatter tasks, refine tasks of both sides, one parent's
                 // join tasks, and the sub-tasks of one split.
                 let queued = segments + 2 * fanout0 + total_fanout / fanout0 + 16;

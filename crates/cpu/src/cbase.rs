@@ -33,7 +33,6 @@ use crate::config::CpuJoinConfig;
 use crate::hashtable::ChainedTable;
 use crate::morsel::{run_pipeline, Flavor};
 use crate::partition::partition_slice_by;
-use crate::simd::SimdLevel;
 use crate::task::SchedStats;
 use crate::util::SharedTupleSlice;
 use crate::{aggregate_sinks, JoinOutcome};
@@ -95,8 +94,6 @@ pub(crate) struct JoinPhase {
     /// Observed between tasks and between probe chunks, so a deadline or an
     /// explicit cancel interrupts even a chain-heavy join phase promptly.
     cancel: CancelToken,
-    /// Resolved SIMD level for the probe front end.
-    simd: SimdLevel,
     counters: JoinPhaseCounters,
 }
 
@@ -172,7 +169,6 @@ impl JoinPhase {
             max_depth: 6,
             max_bucket_bits: cfg.max_bucket_bits,
             cancel: cfg.cancel.clone(),
-            simd: cfg.simd.resolve(),
             counters: JoinPhaseCounters::default(),
         }
     }
@@ -262,7 +258,7 @@ impl JoinPhase {
             .max_chain_len
             .fetch_max(table.max_chain_len() as u64, Ordering::Relaxed);
         for chunk in s.chunks(1024) {
-            table.probe_all_with(chunk, sink, self.simd);
+            table.probe_all(chunk, sink);
             if self.cancel.is_cancelled() {
                 return;
             }
@@ -382,6 +378,12 @@ mod tests {
         })
         .unwrap();
         assert_eq!(outcome.stats.result_count, 150_000);
+        // One key cannot split: one task links all 500 R tuples into a
+        // single chain.
+        assert_eq!(
+            outcome.stats.trace.get("join", counter::MAX_CHAIN_LEN),
+            Some(500)
+        );
     }
 
     #[test]

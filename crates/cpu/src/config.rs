@@ -83,9 +83,10 @@ pub struct CpuJoinConfig {
     /// Bucket bits per partition hash table are sized to the build side; this
     /// caps them to bound memory on pathological partitions.
     pub max_bucket_bits: u32,
-    /// SIMD policy for the scatter/probe hot loops ([`SimdPolicy::Auto`]
-    /// detects the widest available instruction set at runtime;
-    /// [`SimdPolicy::Scalar`] forces the always-compiled fallback).
+    /// SIMD policy for the radix scatter and the no-partition join's probe
+    /// ([`SimdPolicy::Auto`] detects the widest available instruction set
+    /// at runtime; [`SimdPolicy::Scalar`] forces the always-compiled
+    /// fallback). A radix join task's probe is always scalar.
     pub simd: SimdPolicy,
     /// Tuples per morsel in the pipelined execution of `cbase` and
     /// `cbase-npj`: the granularity at which partition/build/probe work

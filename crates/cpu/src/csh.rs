@@ -185,6 +185,50 @@ mod tests {
     }
 
     #[test]
+    fn nm_join_counts_the_longest_chain_of_any_partition_table() {
+        use skewjoin_common::hash::{bucket_bits_for, table_hash};
+        // θ0 with distinct keys, so no tuple leaves for the skew path.
+        let keys: Vec<u32> = (0..1u32 << 15)
+            .map(|i| i.wrapping_mul(0x2545_F491))
+            .collect();
+        let (r, s) = (Relation::from_keys(&keys), Relation::from_keys(&keys));
+        let cfg = CpuJoinConfig::with_threads(2);
+        let stats = assert_matches_reference(&r, &s, &cfg);
+        assert_eq!(stats.skewed_keys_detected, 0);
+
+        // Every final partition with tuples on both sides is one task and
+        // one table; a chain is the tuples sharing a bucket of that table.
+        let radix = cfg.radix_for(r.len());
+        let part_of = |t: &Tuple| radix.final_partition_of(t.key);
+        let mut parts = vec![Vec::new(); radix.total_fanout()];
+        for t in r.tuples() {
+            parts[part_of(t)].push(t.key);
+        }
+        let mut probed = vec![false; parts.len()];
+        for t in s.tuples() {
+            probed[part_of(t)] = true;
+        }
+        let mut longest = 0u64;
+        for (keys, _) in parts
+            .iter()
+            .zip(&probed)
+            .filter(|(k, &p)| p && !k.is_empty())
+        {
+            let bits = bucket_bits_for(keys.len()).min(cfg.max_bucket_bits);
+            let mut lens = vec![0u64; 1 << bits];
+            for &k in keys {
+                lens[table_hash(k, bits)] += 1;
+            }
+            longest = longest.max(lens.into_iter().max().unwrap());
+        }
+        assert!(longest > 1, "no bucket collision to count");
+        assert_eq!(
+            stats.trace.get("nm_join", counter::MAX_CHAIN_LEN),
+            Some(longest)
+        );
+    }
+
+    #[test]
     fn higher_sample_rate_finds_more_skew() {
         let w = PaperWorkload::generate(WorkloadSpec::paper(8192, 1.0, 23));
         let mut lo = CpuJoinConfig::with_threads(2);

@@ -1,17 +1,25 @@
 //! Bucket-chaining hash tables.
 //!
 //! [`ChainedTable`] is the per-partition table of the radix joins, built the
-//! way Balkesen et al.'s `bucket_chaining_join` does it: two `u32` arrays
-//! (`buckets` = head per bucket, `next` = per-tuple chain link) over an
-//! immutable tuple slice. With skewed keys the chains grow long, which is
-//! precisely the dependent-memory-access pathology §III describes — we keep
-//! the structure faithful so the pathology reproduces.
+//! way Balkesen et al.'s `bucket_chaining_join` does it: a word per bucket
+//! (its chain's head) and a `u32` link per tuple (`next`) over an immutable
+//! tuple slice. With skewed keys the chains grow long, which is precisely
+//! the dependent-memory-access pathology §III describes — we keep the
+//! structure faithful so the pathology reproduces.
+//!
+//! A bucket word also counts its chain: the head in the low 32 bits, the
+//! chain's length in the high 32. The build keeps the longest length as it
+//! links, so [`ChainedTable::max_chain_len`] walks nothing. The probe is the
+//! plain scalar chain walk: the radix joins size a partition to about 4096
+//! tuples, so its table is cache-resident and there is no miss to prefetch.
 //!
 //! [`ConcurrentChainedTable`] is the shared global table of the no-partition
-//! join (`cbase-npj`): identical layout, but built by all threads with CAS
-//! on the bucket heads.
+//! join (`cbase-npj`): identical layout, built by all threads with one CAS
+//! of the whole bucket word per insert. It spans all of R and is not
+//! cache-resident, so its probe keeps the SIMD-hashed, prefetching front
+//! end.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use skewjoin_common::hash::{bucket_bits_for, table_hash};
 use skewjoin_common::{JoinError, Key, OutputSink, Tuple};
@@ -37,14 +45,35 @@ pub fn check_build_len(len: usize, table: &str) -> Result<(), JoinError> {
     Ok(())
 }
 
+/// Head slot of a bucket word.
+#[inline(always)]
+fn head(word: u64) -> u32 {
+    word as u32
+}
+
+/// Chain length of a bucket word.
+#[inline(always)]
+fn chain_len(word: u64) -> u64 {
+    word >> 32
+}
+
+/// The bucket word after linking `slot` in front of `word`'s chain.
+#[inline(always)]
+fn push(word: u64, slot: u32) -> u64 {
+    ((chain_len(word) + 1) << 32) | u64::from(slot)
+}
+
 /// A single-threaded bucket-chaining hash table over a borrowed tuple slice.
 pub struct ChainedTable<'a> {
     tuples: &'a [Tuple],
-    /// Head of each bucket's chain; value is `tuple index + 1`, 0 = empty.
-    buckets: Vec<u32>,
+    /// One word per bucket: the chain's head (`tuple index + 1`, 0 = empty)
+    /// in the low 32 bits, its length in the high 32.
+    buckets: Vec<u64>,
     /// `next[i]` links tuple `i` to the previous head (same encoding).
     next: Vec<u32>,
     bits: u32,
+    /// Longest chain, counted while linking.
+    max_chain_len: u64,
 }
 
 impl<'a> ChainedTable<'a> {
@@ -53,18 +82,21 @@ impl<'a> ChainedTable<'a> {
     /// [`MAX_BUILD_TUPLES`].
     pub fn try_build_with_bits(tuples: &'a [Tuple], bits: u32) -> Result<Self, JoinError> {
         check_build_len(tuples.len(), "chained table")?;
-        let mut buckets = vec![0u32; 1usize << bits];
+        let mut buckets = vec![0u64; 1usize << bits];
         let mut next = vec![0u32; tuples.len()];
+        let mut max_chain_len = 0;
         for (i, t) in tuples.iter().enumerate() {
-            let h = table_hash(t.key, bits);
-            next[i] = buckets[h];
-            buckets[h] = (i + 1) as u32;
+            let word = &mut buckets[table_hash(t.key, bits)];
+            next[i] = head(*word);
+            *word = push(*word, (i + 1) as u32);
+            max_chain_len = max_chain_len.max(chain_len(*word));
         }
         Ok(Self {
             tuples,
             buckets,
             next,
             bits,
+            max_chain_len,
         })
     }
 
@@ -101,7 +133,7 @@ impl<'a> ChainedTable<'a> {
     /// attributes to hash-table-based skew handling.
     #[inline]
     pub fn probe<F: FnMut(&Tuple)>(&self, key: Key, mut on_match: F) {
-        let mut slot = self.buckets[table_hash(key, self.bits)];
+        let mut slot = head(self.buckets[table_hash(key, self.bits)]);
         while slot != 0 {
             let t = &self.tuples[(slot - 1) as usize];
             if t.key == key {
@@ -112,69 +144,17 @@ impl<'a> ChainedTable<'a> {
     }
 
     /// Probes the table with every tuple of `probe_side`, emitting join
-    /// results into `sink`.
+    /// results into `sink`: one scalar chain walk per probe tuple.
     pub fn probe_all<S: OutputSink>(&self, probe_side: &[Tuple], sink: &mut S) {
         for s in probe_side {
             self.probe(s.key, |r| sink.emit(s.key, r.payload, s.payload));
         }
     }
 
-    /// [`ChainedTable::probe_all`] with the vectorized front end: bucket
-    /// indices for a whole batch are hashed with SIMD lanes, the bucket
-    /// heads are prefetched while the batch is still being hashed, and each
-    /// chain walk prefetches its next link one hop ahead — hiding the
-    /// dependent-load latency that dominates skewed probes. Emission order
-    /// (and therefore every sink observable) is identical to the scalar
-    /// path.
-    pub fn probe_all_with<S: OutputSink>(
-        &self,
-        probe_side: &[Tuple],
-        sink: &mut S,
-        level: SimdLevel,
-    ) {
-        if level == SimdLevel::Scalar {
-            return self.probe_all(probe_side, sink);
-        }
-        let mask = (self.buckets.len() - 1) as u32;
-        let shift = 32 - self.bits;
-        let mut idx = [0u32; HASH_BATCH];
-        for batch in probe_side.chunks(HASH_BATCH) {
-            simd::hash_indices(level, batch, true, shift, mask, &mut idx);
-            let idx = &idx[..batch.len()];
-            for &i in idx {
-                simd::prefetch_read(self.buckets[i as usize..].as_ptr());
-            }
-            for (s, &i) in batch.iter().zip(idx) {
-                let mut slot = self.buckets[i as usize];
-                while slot != 0 {
-                    let e = (slot - 1) as usize;
-                    let nxt = self.next[e];
-                    if nxt != 0 {
-                        simd::prefetch_read(self.tuples[(nxt - 1) as usize..].as_ptr());
-                    }
-                    let r = &self.tuples[e];
-                    if r.key == s.key {
-                        sink.emit(s.key, r.payload, s.payload);
-                    }
-                    slot = nxt;
-                }
-            }
-        }
-    }
-
-    /// Length of the longest chain (diagnostic: long chains = skew).
+    /// Length of the longest chain (diagnostic: long chains = skew),
+    /// counted by the build.
     pub fn max_chain_len(&self) -> usize {
-        let mut max = 0usize;
-        for &head in &self.buckets {
-            let mut len = 0;
-            let mut slot = head;
-            while slot != 0 {
-                len += 1;
-                slot = self.next[(slot - 1) as usize];
-            }
-            max = max.max(len);
-        }
-        max
+        self.max_chain_len as usize
     }
 }
 
@@ -182,9 +162,12 @@ impl<'a> ChainedTable<'a> {
 /// (the no-partition join's global table).
 pub struct ConcurrentChainedTable<'a> {
     tuples: &'a [Tuple],
-    buckets: Vec<AtomicU32>,
+    /// Bucket words as in [`ChainedTable`].
+    buckets: Vec<AtomicU64>,
     next: Vec<AtomicU32>,
     bits: u32,
+    /// Longest chain any insert produced.
+    max_chain_len: AtomicU64,
 }
 
 impl<'a> ConcurrentChainedTable<'a> {
@@ -193,13 +176,14 @@ impl<'a> ConcurrentChainedTable<'a> {
     /// [`ConcurrentChainedTable::insert_range`] from worker threads to build.
     pub fn try_with_bits(tuples: &'a [Tuple], bits: u32) -> Result<Self, JoinError> {
         check_build_len(tuples.len(), "concurrent chained table")?;
-        let buckets = (0..1usize << bits).map(|_| AtomicU32::new(0)).collect();
+        let buckets = (0..1usize << bits).map(|_| AtomicU64::new(0)).collect();
         let next = (0..tuples.len()).map(|_| AtomicU32::new(0)).collect();
         Ok(Self {
             tuples,
             buckets,
             next,
             bits,
+            max_chain_len: AtomicU64::new(0),
         })
     }
 
@@ -226,31 +210,36 @@ impl<'a> ConcurrentChainedTable<'a> {
     }
 
     /// Inserts the tuples in `range` (call with disjoint ranges from each
-    /// worker). Lock-free: CAS on the bucket head, retrying on contention.
+    /// worker). Lock-free: CAS on the bucket word, head and length together,
+    /// retrying on contention; the longest chain this call made is folded
+    /// into the table's once at the end.
     pub fn insert_range(&self, range: std::ops::Range<usize>) {
+        let mut longest = 0;
         for i in range {
-            let h = table_hash(self.tuples[i].key, self.bits);
-            let encoded = (i + 1) as u32;
-            let mut head = self.buckets[h].load(Ordering::Acquire);
+            let bucket = &self.buckets[table_hash(self.tuples[i].key, self.bits)];
+            let slot = (i + 1) as u32;
+            let mut word = bucket.load(Ordering::Acquire);
             loop {
-                self.next[i].store(head, Ordering::Relaxed);
-                match self.buckets[h].compare_exchange_weak(
-                    head,
-                    encoded,
+                self.next[i].store(head(word), Ordering::Relaxed);
+                match bucket.compare_exchange_weak(
+                    word,
+                    push(word, slot),
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 ) {
                     Ok(_) => break,
-                    Err(actual) => head = actual,
+                    Err(actual) => word = actual,
                 }
             }
+            longest = longest.max(chain_len(word) + 1);
         }
+        self.max_chain_len.fetch_max(longest, Ordering::Relaxed);
     }
 
     /// Probes for `key` (safe after all inserts complete).
     #[inline]
     pub fn probe<F: FnMut(&Tuple)>(&self, key: Key, mut on_match: F) {
-        let mut slot = self.buckets[table_hash(key, self.bits)].load(Ordering::Acquire);
+        let mut slot = head(self.buckets[table_hash(key, self.bits)].load(Ordering::Acquire));
         while slot != 0 {
             let t = &self.tuples[(slot - 1) as usize];
             if t.key == key {
@@ -260,9 +249,14 @@ impl<'a> ConcurrentChainedTable<'a> {
         }
     }
 
-    /// Probes the table with every tuple of `probe_side` — the concurrent
-    /// sibling of [`ChainedTable::probe_all_with`], same SIMD hashing and
-    /// chain-walk prefetch (safe after all inserts complete).
+    /// Probes the table with every tuple of `probe_side` (safe after all
+    /// inserts complete). Above [`SimdLevel::Scalar`], bucket indices for a
+    /// whole batch are hashed with SIMD lanes, the bucket words are
+    /// prefetched while the batch is still being hashed, and each chain
+    /// walk prefetches its next link one hop ahead — hiding the
+    /// dependent-load latency of a table larger than the caches. Emission
+    /// order (and therefore every sink observable) is identical to the
+    /// scalar walk.
     pub fn probe_all_with<S: OutputSink>(
         &self,
         probe_side: &[Tuple],
@@ -285,7 +279,7 @@ impl<'a> ConcurrentChainedTable<'a> {
                 simd::prefetch_read(self.buckets[i as usize..].as_ptr());
             }
             for (s, &i) in batch.iter().zip(idx) {
-                let mut slot = self.buckets[i as usize].load(Ordering::Acquire);
+                let mut slot = head(self.buckets[i as usize].load(Ordering::Acquire));
                 while slot != 0 {
                     let e = (slot - 1) as usize;
                     let nxt = self.next[e].load(Ordering::Relaxed);
@@ -302,20 +296,10 @@ impl<'a> ConcurrentChainedTable<'a> {
         }
     }
 
-    /// Length of the longest chain (diagnostic; call after all inserts
-    /// complete).
+    /// Length of the longest chain (diagnostic), counted by the inserts;
+    /// call after all inserts complete.
     pub fn max_chain_len(&self) -> usize {
-        let mut max = 0usize;
-        for head in &self.buckets {
-            let mut len = 0;
-            let mut slot = head.load(Ordering::Acquire);
-            while slot != 0 {
-                len += 1;
-                slot = self.next[(slot - 1) as usize].load(Ordering::Relaxed);
-            }
-            max = max.max(len);
-        }
-        max
+        self.max_chain_len.load(Ordering::Relaxed) as usize
     }
 }
 
@@ -323,6 +307,7 @@ impl<'a> ConcurrentChainedTable<'a> {
 mod tests {
     use super::*;
     use skewjoin_common::CountingSink;
+    use skewjoin_datagen::{PaperWorkload, WorkloadSpec};
 
     fn tuples_with_keys(keys: &[u32]) -> Vec<Tuple> {
         keys.iter()
@@ -371,6 +356,76 @@ mod tests {
         assert_eq!(table.max_chain_len(), 1000);
     }
 
+    /// Longest chain found by walking every bucket from its head: the
+    /// oracle the build-time count must equal.
+    fn walked_max_chain_len(heads: impl Iterator<Item = u32>, next: impl Fn(u32) -> u32) -> usize {
+        let mut max = 0;
+        for mut slot in heads {
+            let mut len = 0;
+            while slot != 0 {
+                len += 1;
+                slot = next(slot);
+            }
+            max = max.max(len);
+        }
+        max
+    }
+
+    /// Build sides covering an empty build, one key × 1000, and 2^12
+    /// tuples at θ0 and θ1.
+    fn chain_cases() -> Vec<(String, Vec<Tuple>)> {
+        let zipf = |theta: f64| {
+            let w = PaperWorkload::generate(WorkloadSpec::paper(1 << 12, theta, 31));
+            w.r.tuples().to_vec()
+        };
+        vec![
+            ("empty".into(), Vec::new()),
+            ("one key x 1000".into(), tuples_with_keys(&[42; 1000])),
+            ("uniform 2^12".into(), zipf(0.0)),
+            ("zipf-1 2^12".into(), zipf(1.0)),
+        ]
+    }
+
+    #[test]
+    fn counted_max_chain_len_equals_a_walk() {
+        for (name, build) in chain_cases() {
+            for bits in [4, 22] {
+                let table = ChainedTable::build(&build, bits);
+                let walked = walked_max_chain_len(table.buckets.iter().map(|&w| head(w)), |slot| {
+                    table.next[(slot - 1) as usize]
+                });
+                assert_eq!(table.max_chain_len(), walked, "{name}, {bits} bits");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_counted_max_chain_len_equals_a_walk() {
+        for (name, build) in chain_cases() {
+            for bits in [4, 22] {
+                let conc = ConcurrentChainedTable::sized(&build, bits);
+                std::thread::scope(|scope| {
+                    for w in 0..4 {
+                        let conc = &conc;
+                        let range = crate::util::segment(build.len(), 4, w);
+                        scope.spawn(move || conc.insert_range(range));
+                    }
+                });
+                let heads = conc.buckets.iter().map(|w| head(w.load(Ordering::Acquire)));
+                let walked = walked_max_chain_len(heads, |slot| {
+                    conc.next[(slot - 1) as usize].load(Ordering::Relaxed)
+                });
+                assert_eq!(conc.max_chain_len(), walked, "{name}, {bits} bits");
+                let seq = ChainedTable::build(&build, bits);
+                assert_eq!(
+                    conc.max_chain_len(),
+                    seq.max_chain_len(),
+                    "{name}, {bits} bits"
+                );
+            }
+        }
+    }
+
     #[test]
     fn concurrent_build_matches_sequential() {
         let keys: Vec<u32> = (0..10_000).map(|i| i % 257).collect();
@@ -412,10 +467,6 @@ mod tests {
             let probe = tuples_with_keys(&probe_keys);
             let mut scalar = CountingSink::new();
             table.probe_all(&probe, &mut scalar);
-            let mut vector = CountingSink::new();
-            table.probe_all_with(&probe, &mut vector, level);
-            assert_eq!(scalar.count(), vector.count(), "chained n={n}");
-            assert_eq!(scalar.checksum(), vector.checksum(), "chained n={n}");
             let mut cvector = CountingSink::new();
             conc.probe_all_with(&probe, &mut cvector, level);
             assert_eq!(scalar.count(), cvector.count(), "concurrent n={n}");

@@ -3,7 +3,8 @@
 //! The two hottest per-tuple computations in the CPU joins are the same
 //! arithmetic: *hash every key of a tuple run and extract an index from
 //! it* — the radix scatter needs `(mix32(key) >> shift) & mask` per pass,
-//! the bucket-chain probe needs `mix32(key) >> (32 - bits)`. Both are
+//! the no-partition join's bucket-chain probe needs `mix32(key) >> (32 -
+//! bits)`. Both are
 //! branch-free integer pipelines over a `#[repr(C)]` `(u32 key, u32
 //! payload)` layout, which vectorizes cleanly: de-interleave the keys,
 //! multiply by the Fibonacci constant, shift, mask, store.
