@@ -1,11 +1,11 @@
 //! Micro-benchmarks of the CPU join building blocks: radix partitioning
 //! (the pipeline's partition phase, R joined against an empty S so no join
 //! task runs), one join task's build and probe, skew detection, the sinks' hot-run
-//! checksum, and the full joins at two skew levels. Prints mean time per
+//! checksum, per-key counting, and the full joins at two skew levels. Prints mean time per
 //! iteration (see `skewjoin_bench::micro`).
 
 use skewjoin::common::hash::RadixConfig;
-use skewjoin::common::{CountingSink, OutputSink};
+use skewjoin::common::{CountingSink, KeyCountSink, OutputSink};
 use skewjoin::cpu::hashtable::ChainedTable;
 use skewjoin::cpu::skew::detect_skewed_keys;
 use skewjoin::cpu::{cbase_join, csh_join};
@@ -156,6 +156,31 @@ fn bench_run_checksum() {
     );
 }
 
+/// `KeyCountSink` as the cluster shards use it, each iteration ending in
+/// the `sorted_counts` a shard's reply carries: 2^17 results over 2^16
+/// distinct keys in random order (`uniform`'s probe, where nearly every
+/// result opens a new key), and a zipf-1 key stream fed as runs of 4.
+fn bench_key_counts() {
+    group("sink_key_counts");
+    let uniform = ZipfWorkload::new(1 << 16, 0.0, 5).generate_table(1 << 17, 6);
+    bench("emit_2^17_over_2^16_keys", 20, || {
+        let mut sink = KeyCountSink::new();
+        for t in black_box(uniform.tuples()) {
+            sink.emit(t.key, t.payload, 1);
+        }
+        sink.sorted_counts().len()
+    });
+    let zipf = ZipfWorkload::new(1 << 16, 1.0, 5).generate_table(1 << 17, 7);
+    let run = [Tuple::new(0, 1); 4];
+    bench("zipf1_runs_of_4", 20, || {
+        let mut sink = KeyCountSink::new();
+        for t in black_box(zipf.tuples()) {
+            sink.emit_r_run(t.key, &run, t.payload);
+        }
+        sink.sorted_counts().len()
+    });
+}
+
 fn bench_full_joins() {
     group("cpu_join");
     for &zipf in &[0.25f64, 0.9] {
@@ -174,5 +199,6 @@ fn main() {
     bench_hash_table();
     bench_skew_detection();
     bench_run_checksum();
+    bench_key_counts();
     bench_full_joins();
 }

@@ -379,20 +379,31 @@ impl OutputSink for MaterializeSink {
 /// sharded join against single-node ground truth.
 ///
 /// Chain walks and the skew paths emit a key's matches back to back, so
-/// the sink counts the current run of one key in a cache and touches its
-/// table only when the key changes — about once per probe tuple instead of
-/// once per result. The table is a flat open-addressing map; reads drain
-/// it into a key-sorted `Vec` ([`KeyCountSink::sorted_counts`]) with the
-/// pending run folded in.
+/// the sink counts the current run of one key and, when the key changes,
+/// appends the closed `(key, count)` run to a log: a sequential write, not
+/// a probe into a table that misses the cache once the keys outgrow it.
+/// Once the log is longer than twice its last compacted length plus
+/// [`LOG_SLACK`] entries, it is sorted by key and equal keys are folded,
+/// so it never holds more than `2 × distinct keys + LOG_SLACK` entries.
+/// Reads ([`KeyCountSink::sorted_counts`]) sort and fold a copy once.
 #[derive(Debug, Default, Clone)]
 pub struct KeyCountSink {
-    table: CountTable,
-    /// The key of the current run and its results not yet in `table`
+    /// Closed runs: a key-sorted, folded prefix of `compacted` entries,
+    /// then the runs closed since, in emission order.
+    log: Vec<(Key, u64)>,
+    /// The log's length after its last compaction.
+    compacted: usize,
+    /// The key of the current run and its results not yet in `log`
     /// (a zero count means no run is open).
     run: (Key, u64),
     total: u64,
     checksum: u64,
 }
+
+/// Entries a [`KeyCountSink`] log may grow by past twice its compacted
+/// length before it is compacted again: small logs are never sorted, and
+/// a log of `n` distinct keys is sorted about `log2(n / LOG_SLACK)` times.
+const LOG_SLACK: usize = 4096;
 
 impl KeyCountSink {
     /// Creates an empty sink.
@@ -408,24 +419,12 @@ impl KeyCountSink {
     /// Per-key result counts as `(key, count)` pairs in ascending key
     /// order, every count non-zero.
     pub fn sorted_counts(&self) -> Vec<(Key, u64)> {
-        let (run_key, pending) = self.run;
-        let mut folded = pending == 0;
-        let mut counts = Vec::with_capacity(self.table.len + usize::from(!folded));
-        for &(key, count) in &self.table.slots {
-            if count == 0 {
-                continue;
-            }
-            if !folded && key == run_key {
-                counts.push((key, count + pending));
-                folded = true;
-            } else {
-                counts.push((key, count));
-            }
+        let mut counts = Vec::with_capacity(self.log.len() + 1);
+        counts.extend_from_slice(&self.log);
+        if self.run.1 > 0 {
+            counts.push(self.run);
         }
-        if !folded {
-            counts.push((run_key, pending));
-        }
-        counts.sort_unstable_by_key(|&(key, _)| key);
+        sort_and_fold(&mut counts);
         counts
     }
 
@@ -436,67 +435,64 @@ impl KeyCountSink {
             self.run.1 += n;
         } else {
             if pending > 0 {
-                self.table.add(run_key, pending);
+                self.log.push((run_key, pending));
+                if self.log.len() > 2 * self.compacted + LOG_SLACK {
+                    self.compact();
+                }
             }
             self.run = (key, n);
         }
     }
+
+    #[cold]
+    #[inline(never)]
+    fn compact(&mut self) {
+        sort_and_fold(&mut self.log);
+        self.compacted = self.log.len();
+    }
 }
 
-/// A linear-probing map from key to a non-zero count, kept at most half
-/// full. A zero count marks an empty slot, so every key — 0 and
-/// `u32::MAX` included — can be stored.
-#[derive(Debug, Default, Clone)]
-struct CountTable {
-    /// A power-of-two number of slots, or none before the first insert.
-    slots: Vec<(Key, u64)>,
-    /// Occupied slots.
-    len: usize,
-}
-
-impl CountTable {
-    const MIN_SLOTS: usize = 64;
-
-    #[inline]
-    fn add(&mut self, key: Key, n: u64) {
-        debug_assert!(n > 0, "a zero count would read as an empty slot");
-        if 2 * (self.len + 1) > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut at = Self::home(key, mask);
-        loop {
-            let slot = &mut self.slots[at];
-            if slot.1 == 0 {
-                *slot = (key, n);
-                self.len += 1;
-                return;
-            }
-            if slot.0 == key {
-                slot.1 += n;
-                return;
-            }
-            at = (at + 1) & mask;
+/// Sorts `(key, count)` entries by key and folds each key's entries into
+/// one holding their summed count. The sort is a least-significant-digit
+/// radix sort over the key's four bytes, skipping a byte that every key
+/// shares, so it reads and writes the entries sequentially.
+fn sort_and_fold(entries: &mut Vec<(Key, u64)>) {
+    let n = entries.len();
+    let mut histograms = [[0usize; 256]; 4];
+    for &(key, _) in entries.iter() {
+        for (byte, histogram) in histograms.iter_mut().enumerate() {
+            histogram[(key >> (8 * byte)) as usize & 0xFF] += 1;
         }
     }
-
-    /// Fibonacci hashing: the top bits of the key times 2^64/φ.
-    #[inline]
-    fn home(key: Key, mask: usize) -> usize {
-        let bits = mask.count_ones();
-        (u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    let mut scratch = vec![(0, 0); n];
+    for (byte, histogram) in histograms.iter().enumerate() {
+        if histogram.iter().any(|&c| c == n) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut start = 0;
+        for (slot, &c) in next.iter_mut().zip(histogram) {
+            *slot = start;
+            start += c;
+        }
+        for &entry in entries.iter() {
+            let slot = &mut next[(entry.0 >> (8 * byte)) as usize & 0xFF];
+            scratch[*slot] = entry;
+            *slot += 1;
+        }
+        std::mem::swap(entries, &mut scratch);
     }
-
-    fn grow(&mut self) {
-        let slots = (2 * self.slots.len()).max(Self::MIN_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0); slots]);
-        self.len = 0;
-        for (key, count) in old {
-            if count > 0 {
-                self.add(key, count);
-            }
+    let mut folded = 0;
+    for i in 0..n {
+        let (key, count) = entries[i];
+        if folded > 0 && entries[folded - 1].0 == key {
+            entries[folded - 1].1 += count;
+        } else {
+            entries[folded] = (key, count);
+            folded += 1;
         }
     }
+    entries.truncate(folded);
 }
 
 impl OutputSink for KeyCountSink {
@@ -778,10 +774,52 @@ mod tests {
             assert_eq!(sink.counts(), expected, "case {case}");
             assert_eq!(sink.count(), reference.count(), "case {case}");
             assert_eq!(sink.checksum(), reference.checksum(), "case {case}");
-            if distinct >= 5_000 {
-                assert!(sink.table.slots.len() >= 8 * CountTable::MIN_SLOTS);
-            }
         }
+    }
+
+    #[test]
+    fn key_count_log_compacts_within_its_bound() {
+        // 120 000 distinct keys, each a run of one to three results, with
+        // a hot key between every two of them: the log crosses its
+        // compaction threshold many times, and every emit kind feeds it.
+        const HOT: Key = 0x8000_0000;
+        let mut sink = KeyCountSink::new();
+        let mut expected: BTreeMap<Key, u64> = BTreeMap::new();
+        let mut reference = CountingSink::new();
+        let mut compactions = 0;
+        for i in 0..120_000u32 {
+            // Spread the cold keys over all four key bytes.
+            let cold = i.wrapping_mul(0x9E37_79B1) & !HOT;
+            let compacted = sink.compacted;
+            for (key, len) in [(cold, 1 + i % 3), (HOT, 1 + i % 2)] {
+                let run: Vec<Tuple> = (0..len).map(|p| Tuple::new(key, p)).collect();
+                match i % 3 {
+                    0 => run.iter().for_each(|t| sink.emit(key, t.payload, i)),
+                    1 => sink.emit_r_run(key, &run, i),
+                    _ => sink.emit_s_run(key, i, &run),
+                }
+                for t in &run {
+                    match i % 3 {
+                        2 => reference.emit(key, i, t.payload),
+                        _ => reference.emit(key, t.payload, i),
+                    }
+                }
+                *expected.entry(key).or_insert(0) += u64::from(len);
+            }
+            assert!(
+                sink.log.len() <= 2 * expected.len() + LOG_SLACK,
+                "log of {} entries over {} keys",
+                sink.log.len(),
+                expected.len()
+            );
+            compactions += usize::from(sink.compacted != compacted);
+        }
+        assert!(compactions >= 5, "{compactions} compactions");
+        assert_eq!(sink.counts(), expected);
+        assert_eq!(
+            (sink.count(), sink.checksum()),
+            (reference.count(), reference.checksum())
+        );
     }
 
     #[test]

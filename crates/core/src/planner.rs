@@ -182,10 +182,12 @@ impl CostEstimate {
 ///   and everything the join allocates, the same figure the spill sizes
 ///   its partition pairs by.
 /// * **Gbase / GSH** — both relations resident on the device together with
-///   their partitioned copies, the per-partition bucket tables over the
-///   build side (~2 words per R tuple), and offset metadata per partition
-///   (the fan-out the GPU join derives for this input); the host keeps only
-///   the staging copies it already owns.
+///   R's partitioned copy, then the larger of what S's last partition pass
+///   (both of S's partition buffers) and the join phase (S's partitioned
+///   copy and the bucket tables over the build side, ~2 words per R tuple)
+///   add, and offset metadata per partition (the fan-out the GPU join
+///   derives for this input); the host keeps the staging copies it already
+///   owns and the partition passes' block plans.
 pub fn estimate_join_memory(
     algorithm: Algorithm,
     r_tuples: usize,
@@ -201,11 +203,24 @@ pub fn estimate_join_memory(
             device_bytes: 0,
         },
         Algorithm::Gpu(_) => {
-            let bits = gpu_radix_bits(cfg, r_tuples, s_tuples);
-            let partitions = 1u64 << bits.min(24);
-            let device = 2 * (r + s) * tuple + 2 * r * tuple + partitions * 16;
+            let radix = cfg.gpu.derived_radix(r_tuples.max(s_tuples).max(1));
+            let partitions = 1u64 << radix.total_bits().min(24);
+            // Both uploads and R's partitioned copy stay resident; on top
+            // of them S's second pass holds both of S's partition buffers
+            // and the join phase S's partitioned copy and R's bucket
+            // tables, never both at once.
+            let device = (2 * (r + s) + (2 * r).max(s)) * tuple + partitions * 16;
+            // A partition pass plans its blocks on the host: a histogram
+            // and a write cursor of `fanout` words for every block of
+            // `8 · block_dim` tuples and every parent region, each block's
+            // plan and vector headers (8 words), and the regions' child
+            // offsets (8 words per partition).
+            let fanout = radix.fanout(radix.bits_per_pass.len() - 1) as u64;
+            let chunk = 8 * cfg.gpu.block_dim.max(1) as u64;
+            let blocks = r.max(s).div_ceil(chunk) + partitions / fanout;
+            let plans = blocks * (fanout + 8) * 16 + partitions * 64;
             CostEstimate {
-                host_bytes: (r + s) * tuple,
+                host_bytes: (r + s) * tuple + plans,
                 device_bytes: device,
             }
         }

@@ -3,8 +3,10 @@
 //!
 //! The binary format is a 16-byte header (`magic`, version, tuple count)
 //! followed by little-endian `(key, payload)` pairs — 8 bytes per tuple,
-//! the same in-memory layout the joins use, so loading is a single
-//! buffered read.
+//! the same in-memory layout the joins use. [`to_bytes`] and
+//! [`from_bytes`] move each tuple as one little-endian `u64` word with the
+//! key in its low half; that is the same bytes as the two `u32`s, so the
+//! format (version 1) is unchanged and files written earlier still load.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -50,20 +52,12 @@ pub fn to_bytes(relation: &Relation) -> Vec<u8> {
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(relation.len() as u64).to_le_bytes());
-    for t in relation.iter() {
-        buf.extend_from_slice(&t.key.to_le_bytes());
-        buf.extend_from_slice(&t.payload.to_le_bytes());
+    buf.resize(16 + relation.len() * 8, 0);
+    for (word, t) in buf[16..].chunks_exact_mut(8).zip(relation.iter()) {
+        let packed = u64::from(t.key) | u64::from(t.payload) << 32;
+        word.copy_from_slice(&packed.to_le_bytes());
     }
     buf
-}
-
-fn read_u32_le(data: &[u8], offset: usize) -> u32 {
-    u32::from_le_bytes([
-        data[offset],
-        data[offset + 1],
-        data[offset + 2],
-        data[offset + 3],
-    ])
 }
 
 /// Deserializes a relation from the binary format.
@@ -77,13 +71,13 @@ pub fn from_bytes(data: &[u8]) -> Result<Relation, IoError> {
             "bad magic {magic:?}, expected {MAGIC:?}"
         )));
     }
-    let version = read_u32_le(data, 4);
+    let version = u32::from_le_bytes(data[4..8].try_into().expect("4-byte version"));
     if version != VERSION {
         return Err(IoError::Format(format!(
             "unsupported version {version} (this build reads {VERSION})"
         )));
     }
-    let count = (read_u32_le(data, 8) as u64 | ((read_u32_le(data, 12) as u64) << 32)) as usize;
+    let count = u64::from_le_bytes(data[8..16].try_into().expect("8-byte count")) as usize;
     let body = &data[16..];
     // A hostile header can claim a count whose byte size overflows usize.
     let expected_bytes = count
@@ -95,12 +89,13 @@ pub fn from_bytes(data: &[u8]) -> Result<Relation, IoError> {
             body.len()
         )));
     }
-    let mut tuples = Vec::with_capacity(count);
-    for i in 0..count {
-        let key = read_u32_le(body, i * 8);
-        let payload = read_u32_le(body, i * 8 + 4);
-        tuples.push(Tuple::new(key, payload));
-    }
+    let tuples = body
+        .chunks_exact(8)
+        .map(|word| {
+            let packed = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            Tuple::new(packed as u32, (packed >> 32) as u32)
+        })
+        .collect();
     Ok(Relation::from_tuples(tuples))
 }
 
@@ -234,6 +229,35 @@ mod tests {
     }
 
     #[test]
+    fn binary_bytes_match_the_format() {
+        // Header, then each tuple as its key and payload, little-endian.
+        let golden: &[u8] = &[
+            b'S', b'K', b'J', b'R', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, // header
+            7, 0, 0, 0, 0, 0, 0, 0, // (7, 0)
+            42, 0, 0, 0, 1, 0, 0, 0, // (42, 1)
+            0xFF, 0xFF, 0xFF, 0xFF, 2, 0, 0, 0, // (u32::MAX, 2)
+        ];
+        assert_eq!(to_bytes(&sample_relation()), golden);
+        assert_eq!(from_bytes(golden).unwrap(), sample_relation());
+    }
+
+    #[test]
+    fn binary_roundtrips_at_every_size() {
+        for n in [0u32, 1, 65_539] {
+            // Keys and payloads with all four bytes set, distinct halves.
+            let rel = Relation::from_tuples(
+                (0..n)
+                    .map(|i| Tuple::new(i.wrapping_mul(0x9E37_79B1), !i))
+                    .collect(),
+            );
+            let bytes = to_bytes(&rel);
+            assert_eq!(bytes.len(), 16 + 8 * n as usize);
+            assert_eq!(&bytes[8..16], &u64::from(n).to_le_bytes());
+            assert_eq!(from_bytes(&bytes).unwrap(), rel, "{n} tuples");
+        }
+    }
+
+    #[test]
     fn binary_roundtrip_on_disk() {
         let rel = sample_relation();
         let path = temp_path("bin");
@@ -262,6 +286,18 @@ mod tests {
         let mut wrong_ver = to_bytes(&Relation::new()).to_vec();
         wrong_ver[4] = 99;
         assert!(matches!(from_bytes(&wrong_ver), Err(IoError::Format(_))));
+        // A body that is not a whole number of tuples.
+        let mut odd = to_bytes(&sample_relation());
+        odd.push(0);
+        assert!(from_bytes(&odd)
+            .unwrap_err()
+            .to_string()
+            .contains("tuple bytes"));
+        // A count whose byte size overflows.
+        let mut hostile = to_bytes(&Relation::new());
+        hostile[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = from_bytes(&hostile).unwrap_err().to_string();
+        assert!(err.contains("implausible tuple count"), "{err}");
     }
 
     #[test]

@@ -375,10 +375,10 @@ const KEY_COUNT_RECORD: usize = 12;
 /// Per-key counts on the wire: one binary section of 12-byte records in
 /// ascending key order.
 fn key_counts_to_json(counts: &[(Key, u64)]) -> Json {
-    let mut bytes = Vec::with_capacity(counts.len() * KEY_COUNT_RECORD);
-    for &(key, count) in counts {
-        bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&count.to_le_bytes());
+    let mut bytes = vec![0; counts.len() * KEY_COUNT_RECORD];
+    for (record, &(key, count)) in bytes.chunks_exact_mut(KEY_COUNT_RECORD).zip(counts) {
+        record[..4].copy_from_slice(&key.to_le_bytes());
+        record[4..].copy_from_slice(&count.to_le_bytes());
     }
     Json::Bytes(bytes)
 }
@@ -391,17 +391,19 @@ fn key_counts_from_json(json: &Json) -> Result<Vec<(Key, u64)>, String> {
             bytes.len()
         ));
     }
-    let mut counts: Vec<(Key, u64)> = Vec::with_capacity(bytes.len() / KEY_COUNT_RECORD);
-    for record in bytes.chunks_exact(KEY_COUNT_RECORD) {
-        let (key, count) = record.split_at(4);
-        let key = Key::from_le_bytes(key.try_into().expect("4-byte key field"));
-        let count = u64::from_le_bytes(count.try_into().expect("8-byte count field"));
-        if counts.last().is_some_and(|&(prev, _)| prev >= key) {
-            return Err(format!(
-                "key-count section is not in ascending key order at key {key}"
-            ));
-        }
-        counts.push((key, count));
+    let counts: Vec<(Key, u64)> = bytes
+        .chunks_exact(KEY_COUNT_RECORD)
+        .map(|record| {
+            let key = Key::from_le_bytes(record[..4].try_into().expect("4-byte key field"));
+            let count = u64::from_le_bytes(record[4..].try_into().expect("8-byte count field"));
+            (key, count)
+        })
+        .collect();
+    if let Some(pair) = counts.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+        return Err(format!(
+            "key-count section is not in ascending key order at key {}",
+            pair[1].0
+        ));
     }
     Ok(counts)
 }
@@ -748,6 +750,34 @@ mod tests {
             ("outcome", Json::str("completed")),
             ("summary", summary),
         ])
+    }
+
+    #[test]
+    fn key_count_sections_match_the_format_and_round_trip() {
+        // Each record is the key as a little-endian u32, then its count as
+        // a little-endian u64.
+        let counts = vec![
+            (0, 1),
+            (0x0102_0304, 0x0A0B_0C0D_0E0F_1011),
+            (u32::MAX, u64::MAX),
+        ];
+        let golden: Vec<u8> = [
+            &[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0][..],
+            &[4, 3, 2, 1, 0x11, 0x10, 0x0F, 0x0E, 0x0D, 0x0C, 0x0B, 0x0A],
+            &[0xFF; 12],
+        ]
+        .concat();
+        assert_eq!(key_counts_to_json(&counts), Json::Bytes(golden.clone()));
+        assert_eq!(key_counts_from_json(&Json::Bytes(golden)).unwrap(), counts);
+        // A large section through a whole response on the wire.
+        let many: Vec<(Key, u64)> = (0..70_000u32)
+            .map(|i| (i * 3 + 1, u64::from(i) << 20 | 5))
+            .collect();
+        for counts in [vec![], many] {
+            let resp = completed_with_counts(Some(counts));
+            let back = JoinResponse::from_json(&over_the_wire(&resp.to_json())).unwrap();
+            assert_eq!(back, resp);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Memory bounds, measured: a counting global allocator records the peak
 //! bytes the process holds while one join runs, and the test holds each
-//! CPU algorithm to its planner footprint and each spilled join to its
-//! spill `mem_budget`.
+//! CPU algorithm to its planner footprint, each GPU algorithm on either
+//! backend to its planner estimate, and each spilled join to its spill
+//! `mem_budget`.
 //!
 //! The binary has a single `#[test]` and every join runs on one thread, so
 //! nothing else allocates while a join is measured.
@@ -15,8 +16,10 @@ use skewjoin::common::{JoinStats, Relation, Tuple};
 use skewjoin::cpu::spill::spill_hash;
 use skewjoin::cpu::{SpillConfig, MIN_SPILL_BUDGET};
 use skewjoin::datagen::{PaperWorkload, WorkloadSpec, ZipfWorkload};
+use skewjoin::gpu::GpuBackendKind;
 use skewjoin::{
-    estimate_join_memory, run_join_with, Algorithm, CountSinkFactory, CpuAlgorithm, JoinConfig,
+    estimate_join_memory, run_join_with, Algorithm, CountSinkFactory, CpuAlgorithm, GpuAlgorithm,
+    JoinConfig,
 };
 
 /// Bytes currently allocated, and the high-water mark since the last reset.
@@ -76,14 +79,15 @@ static ALLOCATOR: Counting = Counting;
 /// bytes allocated above what was live when it started (the inputs are
 /// live already, so they are not part of the figure).
 fn measured(
-    algorithm: CpuAlgorithm,
+    algorithm: impl Into<Algorithm>,
     r: &Relation,
     s: &Relation,
     cfg: &JoinConfig,
 ) -> (JoinStats, u64) {
+    let algorithm = algorithm.into();
     let base = CURRENT.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
-    let stats = run_join_with(Algorithm::Cpu(algorithm), r, s, cfg, CountSinkFactory)
+    let stats = run_join_with(algorithm, r, s, cfg, CountSinkFactory)
         .unwrap_or_else(|e| panic!("{algorithm}: {e}"));
     let peak = PEAK.load(Ordering::Relaxed) - base;
     (stats, peak as u64)
@@ -128,6 +132,36 @@ fn check_footprints(failures: &mut Vec<String>) {
                          {used} B used against a {footprint} B footprint ({:.2}×)",
                         used as f64 / footprint as f64
                     ));
+                }
+            }
+        }
+    }
+}
+
+/// On either GPU backend the device's buffers live in this process's heap
+/// beside the host's staging copies, so a GPU join's input plus its peak
+/// is at most its estimate's host and device bytes together.
+fn check_gpu_estimates(failures: &mut Vec<String>) {
+    for (r_tuples, s_tuples) in [(1 << 12, 1 << 16), (1 << 16, 1 << 16)] {
+        for zipf in [0.0, 0.9] {
+            let (r, s) = zipf_pair(r_tuples, s_tuples, zipf, 7);
+            let input = ((r.len() + s.len()) * std::mem::size_of::<Tuple>()) as u64;
+            for backend in [GpuBackendKind::Sim, GpuBackendKind::Host] {
+                let mut cfg = one_thread();
+                cfg.gpu.backend = backend;
+                for algorithm in GpuAlgorithm::ALL {
+                    let estimate = estimate_join_memory(algorithm.into(), r.len(), s.len(), &cfg)
+                        .total_bytes();
+                    let (stats, peak) = measured(algorithm, &r, &s, &cfg);
+                    assert_eq!(stats.algorithm, algorithm.name(), "fell back to the CPU");
+                    let used = input + peak;
+                    if used > estimate {
+                        failures.push(format!(
+                            "{algorithm} on {backend:?}, |R| {r_tuples} |S| {s_tuples} θ{zipf}: \
+                             {used} B used against a {estimate} B estimate ({:.2}×)",
+                            used as f64 / estimate as f64
+                        ));
+                    }
                 }
             }
         }
@@ -230,6 +264,7 @@ fn check_spilled_shapes(failures: &mut Vec<String>) {
 fn joins_stay_within_their_footprint_and_spills_within_their_budget() {
     let mut failures = Vec::new();
     check_footprints(&mut failures);
+    check_gpu_estimates(&mut failures);
     check_spilled_shapes(&mut failures);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
