@@ -466,7 +466,7 @@ fn sort_and_fold(entries: &mut Vec<(Key, u64)>) {
     }
     let mut scratch = vec![(0, 0); n];
     for (byte, histogram) in histograms.iter().enumerate() {
-        if histogram.iter().any(|&c| c == n) {
+        if histogram.contains(&n) {
             continue;
         }
         let mut next = [0usize; 256];
@@ -482,17 +482,13 @@ fn sort_and_fold(entries: &mut Vec<(Key, u64)>) {
         }
         std::mem::swap(entries, &mut scratch);
     }
-    let mut folded = 0;
-    for i in 0..n {
-        let (key, count) = entries[i];
-        if folded > 0 && entries[folded - 1].0 == key {
-            entries[folded - 1].1 += count;
-        } else {
-            entries[folded] = (key, count);
-            folded += 1;
+    entries.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
         }
-    }
-    entries.truncate(folded);
+        same
+    });
 }
 
 impl OutputSink for KeyCountSink {
