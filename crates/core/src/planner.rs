@@ -172,6 +172,13 @@ impl CostEstimate {
     }
 }
 
+/// Host bytes a GPU join's estimate adds beyond the partition passes'
+/// block plans, which it counts exactly: the backend's launch log and the
+/// kernels' small scratch vectors (under 1 KiB at 2^12 ⋈ 2^16), plus room
+/// for a future allocation on the GPU path, which would otherwise push a
+/// join past an estimate that has no slack.
+const GPU_HOST_HEADROOM: u64 = 64 << 10;
+
 /// Estimates the peak memory a join of `r_tuples ⋈ s_tuples` needs under
 /// `cfg`, as an upper bound: it is better for the governor to queue a query
 /// that would have fit than to admit one that OOMs.
@@ -187,7 +194,8 @@ impl CostEstimate {
 ///   copy and the bucket tables over the build side, ~2 words per R tuple)
 ///   add, and offset metadata per partition (the fan-out the GPU join
 ///   derives for this input); the host keeps the staging copies it already
-///   owns and the partition passes' block plans.
+///   owns, the partition passes' block plans and a fixed
+///   [`GPU_HOST_HEADROOM`].
 pub fn estimate_join_memory(
     algorithm: Algorithm,
     r_tuples: usize,
@@ -210,15 +218,23 @@ pub fn estimate_join_memory(
             // and the join phase S's partitioned copy and R's bucket
             // tables, never both at once.
             let device = (2 * (r + s) + (2 * r).max(s)) * tuple + partitions * 16;
-            // A partition pass plans its blocks on the host: a histogram
-            // and a write cursor of `fanout` words for every block of
-            // `8 · block_dim` tuples and every parent region, each block's
-            // plan and vector headers (8 words), and the regions' child
-            // offsets (8 words per partition).
+            // A partition pass plans its blocks on the host
+            // (`gpu::partition::run_pass`). Counted exactly, not rounded
+            // up, from what it allocates:
+            // per block of `8 · block_dim` tuples its plan (3 words, twice
+            // that while its `Vec` grows), histogram and write cursor
+            // (`fanout` words and a 3-word header each); per parent region
+            // its range (2 words), child sizes, child starts and rolling
+            // cursors (`fanout + 1` words and a header each) and its parent
+            // directory entry; per partition an entry in R's and in S's
+            // directory.
             let fanout = radix.fanout(radix.bits_per_pass.len() - 1) as u64;
             let chunk = 8 * cfg.gpu.block_dim.max(1) as u64;
-            let blocks = r.max(s).div_ceil(chunk) + partitions / fanout;
-            let plans = blocks * (fanout + 8) * 16 + partitions * 64;
+            let regions = partitions / fanout;
+            let blocks = r.max(s).div_ceil(chunk) + regions;
+            let plan_words =
+                blocks * (2 * fanout + 12) + regions * (3 * fanout + 13) + 2 * partitions;
+            let plans = plan_words * 8 + GPU_HOST_HEADROOM;
             CostEstimate {
                 host_bytes: (r + s) * tuple + plans,
                 device_bytes: device,

@@ -52,11 +52,11 @@ pub fn to_bytes(relation: &Relation) -> Vec<u8> {
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(relation.len() as u64).to_le_bytes());
-    buf.resize(16 + relation.len() * 8, 0);
-    for (word, t) in buf[16..].chunks_exact_mut(8).zip(relation.iter()) {
-        let packed = u64::from(t.key) | u64::from(t.payload) << 32;
-        word.copy_from_slice(&packed.to_le_bytes());
-    }
+    buf.extend(
+        relation
+            .iter()
+            .flat_map(|t| (u64::from(t.key) | u64::from(t.payload) << 32).to_le_bytes()),
+    );
     buf
 }
 

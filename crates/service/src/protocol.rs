@@ -66,7 +66,7 @@
 //! bytes it sends and receives ([`Client::bytes_sent`],
 //! [`Client::bytes_received`]).
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -101,26 +101,18 @@ pub const DEFAULT_CLIENT_BACKOFF: Duration = Duration::from_millis(25);
 /// The bytes are copied once, from each value straight into the tail. A
 /// document without binary values encodes exactly as in version 3.
 pub fn encode_frame(json: &Json) -> io::Result<Vec<u8>> {
-    let (mut frame, sections) = frame_parts(json)?;
-    frame.reserve_exact(sections.iter().map(|s| s.len()).sum());
-    for section in sections {
-        frame.extend_from_slice(section);
-    }
-    Ok(frame)
-}
-
-/// A frame in parts: the length prefix, the head and (with a tail) its
-/// NUL in one buffer, then the tail's sections, borrowed from `json`.
-fn frame_parts(json: &Json) -> io::Result<(Vec<u8>, Vec<&[u8]>)> {
     let mut head = String::from("\0\0\0\0");
     let mut sections = Vec::new();
     json.write_split(&mut head, &mut sections);
-    let mut head = head.into_bytes();
+    let mut frame = head.into_bytes();
     if !sections.is_empty() {
-        head.push(0);
+        frame.reserve_exact(1 + sections.iter().map(|s| s.len()).sum::<usize>());
+        frame.push(0);
+        for section in sections {
+            frame.extend_from_slice(section);
+        }
     }
-    let body = head.len() - 4 + sections.iter().map(|s| s.len()).sum::<usize>();
-    let len = u32::try_from(body)
+    let len = u32::try_from(frame.len() - 4)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -128,36 +120,17 @@ fn frame_parts(json: &Json) -> io::Result<(Vec<u8>, Vec<&[u8]>)> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    head[..4].copy_from_slice(&len.to_be_bytes());
-    Ok((head, sections))
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    Ok(frame)
 }
 
 /// Writes one frame (see [`encode_frame`]).
 ///
-/// Prefix, head and tail leave in one vectored write where the writer
-/// takes it all: two writes on a socket with Nagle's algorithm on stall
-/// the second behind the peer's delayed ACK. The tail's sections go
-/// straight from their values to the writer, with no frame-sized copy.
+/// Prefix, head and tail leave in one `write_all`: two writes on a socket
+/// with Nagle's algorithm on stall the second behind the peer's delayed
+/// ACK.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
-    let (head, sections) = frame_parts(json)?;
-    let mut slices: Vec<IoSlice<'_>> = std::iter::once(&head[..])
-        .chain(sections)
-        .map(IoSlice::new)
-        .collect();
-    let mut pending = &mut slices[..];
-    while !pending.is_empty() {
-        match w.write_vectored(pending) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write a whole frame",
-                ))
-            }
-            Ok(n) => IoSlice::advance_slices(&mut pending, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+    w.write_all(&encode_frame(json)?)?;
     w.flush()
 }
 
@@ -509,12 +482,6 @@ impl<S: Write> Write for Counted<'_, S> {
         Ok(n)
     }
 
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        let n = self.inner.write_vectored(bufs)?;
-        self.written += n as u64;
-        Ok(n)
-    }
-
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
     }
@@ -744,44 +711,6 @@ mod tests {
         assert!(err.contains("non-UTF-8"), "{err}");
         let err = decode_frame(b"{\"a\":{\"$bytes\":[0,2]}}\0\xFF").unwrap_err();
         assert!(err.contains("beyond the 1-byte tail"), "{err}");
-    }
-
-    /// A writer that takes at most 5 bytes a call, from one buffer.
-    struct Trickle(Vec<u8>);
-
-    impl Write for Trickle {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            let n = buf.len().min(5);
-            self.0.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn written_frames_equal_encoded_frames_under_short_writes() {
-        let docs = [
-            Json::obj(vec![("op", Json::str("ping"))]),
-            Json::obj(vec![
-                ("a", Json::Bytes(vec![7; 13])),
-                ("empty", Json::Bytes(Vec::new())),
-                ("b", Json::Bytes((0..=255).collect())),
-                ("last", Json::Bytes(Vec::new())),
-            ]),
-        ];
-        for doc in docs {
-            let encoded = encode_frame(&doc).unwrap();
-            let mut whole = Vec::new();
-            write_frame(&mut whole, &doc).unwrap();
-            let mut trickle = Trickle(Vec::new());
-            write_frame(&mut trickle, &doc).unwrap();
-            assert_eq!(whole, encoded);
-            assert_eq!(trickle.0, encoded);
-            assert_eq!(read_frame(&mut Cursor::new(encoded)).unwrap(), doc);
-        }
     }
 
     #[test]

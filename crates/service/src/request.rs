@@ -375,11 +375,13 @@ const KEY_COUNT_RECORD: usize = 12;
 /// Per-key counts on the wire: one binary section of 12-byte records in
 /// ascending key order.
 fn key_counts_to_json(counts: &[(Key, u64)]) -> Json {
-    let mut bytes = vec![0; counts.len() * KEY_COUNT_RECORD];
-    for (record, &(key, count)) in bytes.chunks_exact_mut(KEY_COUNT_RECORD).zip(counts) {
+    let mut bytes = Vec::with_capacity(counts.len() * KEY_COUNT_RECORD);
+    bytes.extend(counts.iter().flat_map(|&(key, count)| {
+        let mut record = [0; KEY_COUNT_RECORD];
         record[..4].copy_from_slice(&key.to_le_bytes());
         record[4..].copy_from_slice(&count.to_le_bytes());
-    }
+        record
+    }));
     Json::Bytes(bytes)
 }
 
